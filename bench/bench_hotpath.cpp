@@ -80,6 +80,15 @@ namespace {
 
 using namespace fecim;
 
+/// Determinism and sanity checks fail the bench: each mismatch is reported
+/// and counted, and main() exits non-zero when any fired.
+std::size_t g_mismatches = 0;
+
+void report_mismatch(const char* what) {
+  std::fprintf(stderr, "bench_hotpath: %s mismatch\n", what);
+  ++g_mismatches;
+}
+
 struct EngineRow {
   std::size_t n = 0;
   std::string engine;
@@ -304,7 +313,7 @@ EngineRow bench_ideal_annealer(std::size_t n, std::size_t iterations) {
     const double elapsed = best_of_three_seconds([&] {
       const auto result = annealer.run(99);
       if (result.ledger.iterations != iterations)
-        std::printf("(iteration mismatch)\n");
+        report_mismatch("iteration");
     });
     row.optimized_per_sec = static_cast<double>(iterations) / elapsed;
   }
@@ -498,7 +507,7 @@ CampaignRow bench_campaign(std::size_t n, std::size_t runs,
 
   row.optimized_seconds = best_of_three_seconds([&] {
     const auto result = core::run_campaign(annealer, instance, campaign);
-    if (result.runs != runs) std::printf("(campaign run mismatch)\n");
+    if (result.runs != runs) report_mismatch("campaign run");
   });
 
   {
@@ -525,7 +534,7 @@ CampaignRow bench_campaign(std::size_t n, std::size_t runs,
             best.add(b);
           },
           std::min<std::size_t>(row.threads, runs));
-      if (best.count() != runs) std::printf("(legacy run mismatch)\n");
+      if (best.count() != runs) report_mismatch("legacy run");
     });
   }
 
@@ -570,7 +579,7 @@ CampaignRow bench_noisy_campaign(std::size_t n, std::size_t runs,
     const auto result = core::run_campaign(annealer, instance, parallel);
     // Replica parallelism must not change results (keyed noise streams).
     if (result.objective.mean() != serial_objective)
-      std::printf("(noisy campaign thread-determinism mismatch)\n");
+      report_mismatch("noisy campaign thread-determinism");
   });
 
   row.speedup = row.legacy_seconds / row.optimized_seconds;
@@ -618,7 +627,7 @@ CampaignRow bench_sharded_campaign(std::size_t n, std::size_t runs,
     // Records cross a process boundary as journal-format lines; the
     // reduction must still be bit-identical to the in-process pool.
     if (result.objective.mean() != in_process_objective)
-      std::printf("(sharded campaign process-determinism mismatch)\n");
+      report_mismatch("sharded campaign process-determinism");
   });
 
   row.speedup = row.legacy_seconds / row.optimized_seconds;
@@ -663,7 +672,7 @@ CampaignRow bench_lifecycle_campaign(std::size_t n, std::size_t runs,
     const auto result = core::run_campaign(annealer, instance, with_deadlines);
     // An untripped deadline must not perturb the run stream.
     if (result.per_run.front().best_energy != plain_energy)
-      std::printf("(lifecycle campaign determinism mismatch)\n");
+      report_mismatch("lifecycle campaign determinism");
   });
 
   row.speedup = row.legacy_seconds / row.optimized_seconds;
@@ -709,7 +718,7 @@ CampaignRow bench_sb_campaign(std::size_t n, std::size_t runs,
     const auto result = core::run_campaign(*annealer, instance, parallel);
     // Counter-keyed dither: replica parallelism must not change results.
     if (result.objective.mean() != serial_objective)
-      std::printf("(sb campaign thread-determinism mismatch)\n");
+      report_mismatch("sb campaign thread-determinism");
   });
 
   row.speedup = row.legacy_seconds / row.optimized_seconds;
@@ -765,7 +774,7 @@ CampaignRow bench_cached_batch_campaign(std::size_t n, std::size_t repeats,
     }
     // Shared arrays must not perturb results (PERF.md invariants 1-2).
     if (objective != objective_uncached)
-      std::printf("(cached batch determinism mismatch)\n");
+      report_mismatch("cached batch determinism");
   });
 
   row.speedup = row.legacy_seconds / row.optimized_seconds;
@@ -942,6 +951,11 @@ int main() {
     write_json(out != nullptr ? out : "BENCH_hotpath.json",
                smoke ? "smoke" : (full ? "full" : "reduced"), sampler,
                ingestion, engines, campaigns);
+  }
+  if (g_mismatches > 0) {
+    std::fprintf(stderr, "bench_hotpath: %zu check(s) failed\n",
+                 g_mismatches);
+    return 1;
   }
   return 0;
 }

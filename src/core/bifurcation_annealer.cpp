@@ -11,15 +11,6 @@ namespace fecim::core {
 
 namespace {
 
-crossbar::CrossbarMapping make_mapping(const ising::IsingModel& model,
-                                       const SbConfig& config) {
-  const crossbar::QuantizedCouplings quantized(model.couplings(),
-                                               config.mapping.bits);
-  return crossbar::CrossbarMapping(model.num_spins(),
-                                   quantized.has_negative() ? 2 : 1,
-                                   config.mapping);
-}
-
 /// Standard SB coupling normalization c0 = 0.5 / (sigma * sqrt(n)) with
 /// sigma the rms off-diagonal coupling.  J stores both triangles, so the
 /// stored entries are exactly the n(n-1) ordered off-diagonal pairs.
@@ -42,38 +33,14 @@ BifurcationAnnealer::BifurcationAnnealer(
     : model_(std::move(model)),
       config_(std::move(config)),
       schedule_({config_.a0, config_.dt, config_.steps}),
-      mapping_(make_mapping(*model_, config_)) {
+      crossbar_(build_crossbar_backend(
+          *model_, config_, config_.engine == SbConfig::EngineKind::kAnalog)) {
   FECIM_EXPECTS(model_ != nullptr);
   FECIM_EXPECTS(!model_->has_fields());  // fold fields via with_ancilla()
   FECIM_EXPECTS(model_->num_flippable() >= 1);
   FECIM_EXPECTS(config_.c0 >= 0.0);
   FECIM_EXPECTS(config_.momentum_init >= 0.0);
   c0_ = config_.c0 > 0.0 ? config_.c0 : calibrate_c0(*model_);
-
-  if (config_.engine == SbConfig::EngineKind::kAnalog) {
-    const crossbar::QuantizedCouplings quantized(model_->couplings(),
-                                                 config_.mapping.bits);
-    if (config_.array_cache) {
-      array_ = config_.array_cache->get_or_build(quantized, mapping_,
-                                                 config_.device,
-                                                 config_.variation,
-                                                 config_.array_seed,
-                                                 config_.tiles);
-    } else {
-      array_ = std::make_shared<const crossbar::ProgrammedArray>(
-          quantized, mapping_, config_.device, config_.variation,
-          config_.array_seed, config_.tiles);
-    }
-    // One-time IR-drop ladder solve shared by every per-run engine instance
-    // (same reasoning as the in-situ annealer; the array is immutable).
-    if (config_.analog.model_ir_drop &&
-        config_.analog.cached_ir_attenuation <= 0.0) {
-      const crossbar::AnalogCrossbarEngine probe(array_, config_.analog);
-      config_.analog.cached_ir_attenuation = probe.ir_attenuation();
-      config_.analog.cached_band_ir_attenuation.assign(
-          probe.band_attenuations().begin(), probe.band_attenuations().end());
-    }
-  }
 }
 
 AnnealResult BifurcationAnnealer::run(std::uint64_t seed,
@@ -84,15 +51,16 @@ AnnealResult BifurcationAnnealer::run(std::uint64_t seed,
 
   std::unique_ptr<crossbar::EincEngine> engine;
   if (config_.engine == SbConfig::EngineKind::kAnalog) {
-    engine = std::make_unique<crossbar::AnalogCrossbarEngine>(array_,
-                                                              config_.analog);
+    engine =
+        std::make_unique<crossbar::AnalogCrossbarEngine>(*crossbar_.prototype);
   } else {
     // No local-field cache: the drive vector below is NOT the tracked spin
     // configuration (it is re-binarized from the oscillator positions every
     // step), so the cache-coherence protocol cannot apply.  The stateless
     // CSR row walk serves each single-flip readout directly.
     engine = std::make_unique<crossbar::IdealCrossbarEngine>(
-        *model_, mapping_, crossbar::Accounting::kInSitu, config_.tiles);
+        *model_, crossbar_.mapping, crossbar::Accounting::kInSitu,
+        config_.tiles);
   }
   engine->begin_run(seed);
 

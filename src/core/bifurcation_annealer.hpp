@@ -26,10 +26,8 @@
 #include <memory>
 
 #include "core/annealer.hpp"
+#include "core/crossbar_backend.hpp"
 #include "core/schedule.hpp"
-#include "crossbar/analog_engine.hpp"
-#include "crossbar/array_cache.hpp"
-#include "crossbar/mapping.hpp"
 #include "crossbar/tiling.hpp"
 #include "device/dg_fefet.hpp"
 #include "device/variation.hpp"
@@ -105,15 +103,14 @@ class BifurcationAnnealer final : public Annealer {
   const SbSchedule& schedule() const noexcept { return schedule_; }
   /// Programmed array (null when running the ideal engine).
   std::shared_ptr<const crossbar::ProgrammedArray> array() const noexcept {
-    return array_;
+    return crossbar_.array;
   }
 
  private:
   std::shared_ptr<const ising::IsingModel> model_;
   SbConfig config_;
   SbSchedule schedule_;
-  crossbar::CrossbarMapping mapping_;
-  std::shared_ptr<const crossbar::ProgrammedArray> array_;
+  CrossbarBackend crossbar_;
   double c0_;
 };
 

@@ -8,19 +8,6 @@
 
 namespace fecim::core {
 
-namespace {
-
-crossbar::CrossbarMapping make_mapping(const ising::IsingModel& model,
-                                       const InSituConfig& config) {
-  const crossbar::QuantizedCouplings quantized(model.couplings(),
-                                               config.mapping.bits);
-  return crossbar::CrossbarMapping(model.num_spins(),
-                                   quantized.has_negative() ? 2 : 1,
-                                   config.mapping);
-}
-
-}  // namespace
-
 InSituCimAnnealer::InSituCimAnnealer(
     std::shared_ptr<const ising::IsingModel> model, InSituConfig config)
     : model_(std::move(model)),
@@ -30,7 +17,9 @@ InSituCimAnnealer::InSituCimAnnealer(
         schedule_config.total_iterations = config_.iterations;
         return BgAnnealingSchedule(schedule_config);
       }()),
-      mapping_(make_mapping(*model_, config_)) {
+      crossbar_(build_crossbar_backend(
+          *model_, config_,
+          config_.engine == InSituConfig::EngineKind::kAnalog)) {
   FECIM_EXPECTS(model_ != nullptr);
   FECIM_EXPECTS(!model_->has_fields());  // fold fields via with_ancilla()
   FECIM_EXPECTS(config_.flips_per_iteration >= 1);
@@ -38,38 +27,6 @@ InSituCimAnnealer::InSituCimAnnealer(
   FECIM_EXPECTS(config_.acceptance_gain > 0.0);
   // Keep the DAC range consistent with the device's annealing V_BG range.
   FECIM_EXPECTS(config_.schedule.dac.v_max <= config_.device.vbg_max + 1e-12);
-
-  if (config_.engine == InSituConfig::EngineKind::kAnalog) {
-    const crossbar::QuantizedCouplings quantized(model_->couplings(),
-                                                 config_.mapping.bits);
-    if (config_.array_cache) {
-      // Digest-keyed sharing: identical (couplings, mapping, device,
-      // variation, seed, tiles) across annealers resolve to one programmed
-      // array.  Safe because the array is immutable (PERF.md invariant 1)
-      // and bit-identical because all run-time noise is counter-keyed per
-      // run seed, not per array instance (invariant 2).
-      array_ = config_.array_cache->get_or_build(quantized, mapping_,
-                                                 config_.device,
-                                                 config_.variation,
-                                                 config_.array_seed,
-                                                 config_.tiles);
-    } else {
-      array_ = std::make_shared<const crossbar::ProgrammedArray>(
-          quantized, mapping_, config_.device, config_.variation,
-          config_.array_seed, config_.tiles);
-    }
-    // Solve the IR-drop ladders once here: the array is immutable, so every
-    // per-run engine instance reuses the same logical and per-tile
-    // attenuations instead of re-running the MNA solves (which scale with
-    // physical rows).
-    if (config_.analog.model_ir_drop &&
-        config_.analog.cached_ir_attenuation <= 0.0) {
-      const crossbar::AnalogCrossbarEngine probe(array_, config_.analog);
-      config_.analog.cached_ir_attenuation = probe.ir_attenuation();
-      config_.analog.cached_band_ir_attenuation.assign(
-          probe.band_attenuations().begin(), probe.band_attenuations().end());
-    }
-  }
 }
 
 void InSituCimAnnealer::cluster_flip_set(util::Rng& rng,
@@ -154,11 +111,12 @@ AnnealResult InSituCimAnnealer::run(std::uint64_t seed,
   // model/array, so parallel campaigns need no locking.
   std::unique_ptr<crossbar::EincEngine> engine;
   if (analog) {
-    engine = std::make_unique<crossbar::AnalogCrossbarEngine>(array_,
-                                                              config_.analog);
+    engine =
+        std::make_unique<crossbar::AnalogCrossbarEngine>(*crossbar_.prototype);
   } else {
     auto ideal = std::make_unique<crossbar::IdealCrossbarEngine>(
-        *model_, mapping_, crossbar::Accounting::kInSitu, config_.tiles);
+        *model_, crossbar_.mapping, crossbar::Accounting::kInSitu,
+        config_.tiles);
     // This loop reports every applied flip set back through
     // on_flips_applied(), so the engine may serve evaluations from its
     // incrementally-maintained local-field cache.

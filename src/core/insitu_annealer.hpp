@@ -11,10 +11,8 @@
 #include <memory>
 
 #include "core/annealer.hpp"
+#include "core/crossbar_backend.hpp"
 #include "core/schedule.hpp"
-#include "crossbar/analog_engine.hpp"
-#include "crossbar/array_cache.hpp"
-#include "crossbar/mapping.hpp"
 #include "device/dg_fefet.hpp"
 #include "device/variation.hpp"
 #include "ising/flipset.hpp"
@@ -108,10 +106,12 @@ class InSituCimAnnealer final : public Annealer {
   const ising::IsingModel& model() const noexcept override { return *model_; }
 
   const BgAnnealingSchedule& schedule() const noexcept { return schedule_; }
-  const crossbar::CrossbarMapping& mapping() const noexcept { return mapping_; }
+  const crossbar::CrossbarMapping& mapping() const noexcept {
+    return crossbar_.mapping;
+  }
   /// Programmed array (null when running the ideal engine).
   std::shared_ptr<const crossbar::ProgrammedArray> array() const noexcept {
-    return array_;
+    return crossbar_.array;
   }
 
  private:
@@ -134,8 +134,7 @@ class InSituCimAnnealer final : public Annealer {
   std::shared_ptr<const ising::IsingModel> model_;
   InSituConfig config_;
   BgAnnealingSchedule schedule_;
-  crossbar::CrossbarMapping mapping_;
-  std::shared_ptr<const crossbar::ProgrammedArray> array_;
+  CrossbarBackend crossbar_;
 };
 
 }  // namespace fecim::core

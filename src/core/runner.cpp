@@ -8,51 +8,10 @@
 
 #include "core/run_journal.hpp"
 #include "core/shard_runner.hpp"
-#include "problems/maxcut.hpp"
-#include "problems/warm_start.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace fecim::core {
-
-MaxcutInstance make_maxcut_instance(std::string name, problems::Graph graph,
-                                    std::size_t reference_restarts,
-                                    std::uint64_t reference_seed) {
-  MaxcutInstance instance;
-  instance.name = std::move(name);
-  instance.reference_cut =
-      problems::reference_cut(graph, reference_restarts, reference_seed);
-  instance.graph =
-      std::make_shared<const problems::Graph>(std::move(graph));
-  instance.model = std::make_shared<const ising::IsingModel>(
-      problems::maxcut_to_ising(*instance.graph));
-  return instance;
-}
-
-ProblemInstance as_problem(const MaxcutInstance& instance) {
-  FECIM_EXPECTS(instance.graph != nullptr && instance.model != nullptr);
-  ProblemInstance problem;
-  problem.name = instance.name;
-  problem.family = "maxcut";
-  problem.summary = std::to_string(instance.graph->num_vertices()) +
-                    " vertices, " +
-                    std::to_string(instance.graph->num_edges()) + " edges";
-  problem.objective_label = "cut";
-  problem.model = instance.model;
-  problem.reference_objective = instance.reference_cut;
-  problem.sense = ObjectiveSense::kMaximize;
-  problem.decode = [graph = instance.graph](
-                       std::span<const ising::Spin> spins) {
-    DecodedSolution solution;
-    solution.objective = problems::cut_value(*graph, spins);
-    solution.feasible = true;  // every bipartition is a valid cut
-    return solution;
-  };
-  problem.warm_start = [graph = instance.graph] {
-    return problems::greedy_maxcut_spins(*graph);
-  };
-  return problem;
-}
 
 double CampaignResult::best_objective(ObjectiveSense sense) const noexcept {
   if (objective.empty()) return std::numeric_limits<double>::quiet_NaN();
@@ -294,14 +253,6 @@ CampaignResult run_campaign(const Annealer& annealer,
   // replicas no longer serialize on a shared RNG and need no locking.
   // execute_campaign_run() never throws -- failures terminate on the run's
   // record, not the campaign.
-  //
-  // Under Parallelism::kBand the replica loop runs serially (threads = 1
-  // takes parallel_for's inline path without claiming the pool), leaving
-  // the worker pool free for the engine's nested band-level parallel_for
-  // inside each evaluation.  Either way every run still derives its seed up
-  // front and writes a disjoint slot, so the result is bit-identical.
-  const std::size_t replica_threads =
-      config.parallelism == Parallelism::kBand ? 1 : config.threads;
   util::parallel_for(
       config.runs,
       [&](std::size_t run) {
@@ -310,15 +261,9 @@ CampaignResult run_campaign(const Annealer& annealer,
                                              seeds[run], campaign_deadline);
         journal.append({run, outcomes[run].record, outcomes[run].ledger});
       },
-      replica_threads);
+      config.threads);
 
   return reduce_campaign(problem, config, std::move(outcomes));
-}
-
-CampaignResult run_maxcut_campaign(const Annealer& annealer,
-                                   const MaxcutInstance& instance,
-                                   const CampaignConfig& config) {
-  return run_campaign(annealer, as_problem(instance), config);
 }
 
 }  // namespace fecim::core

@@ -4,9 +4,10 @@
 // rates, modeled energy and latency).
 //
 // The runner is problem-agnostic: run_campaign() drives any ProblemInstance
-// (problems/instances.hpp builds the five built-in families) and scores runs
-// through the instance's decode hook.  Replica execution is parallel and
-// deterministic -- every run derives its seed up front, binds its own
+// (problems/instances.hpp builds the six built-in families, Max-Cut
+// included) and scores runs through the instance's decode hook.  The shared
+// worker pool parallelizes across runs (replicas) only.  Replica execution
+// is deterministic -- every run derives its seed up front, binds its own
 // engine clone with counter-keyed noise streams inside Annealer::run(), and
 // writes into a disjoint result slot, so the campaign outcome is
 // bit-identical for every thread count.
@@ -21,33 +22,9 @@
 #include "core/problem_instance.hpp"
 #include "core/run_lifecycle.hpp"
 #include "cost/cost_model.hpp"
-#include "problems/graph.hpp"
 #include "util/stats.hpp"
 
 namespace fecim::core {
-
-/// A Max-Cut benchmark instance bundled with its Ising model and the
-/// best-known reference cut (certified for toroidal instances, long-run
-/// local-search proxy otherwise).  Retained as a thin adapter over
-/// ProblemInstance so pre-generalization call sites migrate incrementally;
-/// new code should prefer problems::make_maxcut_problem.
-struct MaxcutInstance {
-  std::string name;
-  std::shared_ptr<const problems::Graph> graph;
-  std::shared_ptr<const ising::IsingModel> model;
-  double reference_cut = 0.0;
-};
-
-/// Build an instance from a graph; reference cut from reference_cut() with
-/// `reference_restarts` random-start 1-opt descents (ignored when the
-/// optimum is certified).
-MaxcutInstance make_maxcut_instance(std::string name, problems::Graph graph,
-                                    std::size_t reference_restarts = 64,
-                                    std::uint64_t reference_seed = 7);
-
-/// View a MaxcutInstance as a ProblemInstance (shares graph/model; decode
-/// scores the cut of the best spins).
-ProblemInstance as_problem(const MaxcutInstance& instance);
 
 /// Deterministic fault-injection test hooks: sabotage the listed run
 /// indices so every recovery path is exercised in CI rather than trusted.
@@ -64,22 +41,11 @@ struct FaultInjection {
   std::vector<std::size_t> kill_workers;
 };
 
-/// Where run_campaign points the shared worker pool.  kReplica (default)
-/// parallelizes across runs; kBand executes replicas serially so the
-/// annealer's engine-level band parallelism (e.g.
-/// crossbar::AnalogEngineConfig::band_threads) can claim the pool for the
-/// row bands of each evaluation instead.  kBand is the latency knob for few
-/// long runs over tall tiled arrays; kReplica is the throughput knob for
-/// many runs.  Results are bit-identical across both settings and every
-/// thread count -- replicas and bands are independent by construction.
-enum class Parallelism { kReplica, kBand };
-
 struct CampaignConfig {
   std::size_t runs = 5;
   std::uint64_t base_seed = 42;
   double success_threshold = 0.9;  ///< paper: within 10 % of the reference
   std::size_t threads = 0;         ///< 0 = util::worker_threads()
-  Parallelism parallelism = Parallelism::kReplica;
   /// Fork-spawned worker processes (docs/sharding.md).  0 (default)
   /// executes in process on the shared thread pool; >= 1 partitions the
   /// runs round-robin across that many forked workers that stream records
@@ -232,10 +198,5 @@ CampaignResult reduce_campaign(const ProblemInstance& problem,
 CampaignResult run_campaign(const Annealer& annealer,
                             const ProblemInstance& problem,
                             const CampaignConfig& config);
-
-/// Thin adapter: run_campaign over as_problem(instance).
-CampaignResult run_maxcut_campaign(const Annealer& annealer,
-                                   const MaxcutInstance& instance,
-                                   const CampaignConfig& config);
 
 }  // namespace fecim::core

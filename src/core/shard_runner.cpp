@@ -249,8 +249,6 @@ CampaignResult run_sharded_campaign(const Annealer& annealer,
   for (std::size_t run = 0; run < config.runs; ++run)
     if (!have[run]) missing.push_back(run);
   if (!missing.empty()) {
-    const std::size_t replica_threads =
-        config.parallelism == Parallelism::kBand ? 1 : config.threads;
     util::parallel_for(
         missing.size(),
         [&](std::size_t i) {
@@ -259,7 +257,7 @@ CampaignResult run_sharded_campaign(const Annealer& annealer,
               annealer, problem, config, run, seeds[run], campaign_deadline);
           journal.append({run, outcomes[run].record, outcomes[run].ledger});
         },
-        replica_threads);
+        config.threads);
   }
 
   // Success: the main journal now holds every journalable record, so the

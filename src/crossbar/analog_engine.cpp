@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/assert.hpp"
-#include "util/parallel.hpp"
 #include "util/simd.hpp"
 
 namespace fecim::crossbar {
@@ -97,42 +96,30 @@ __attribute__((noinline)) double convert_unit_dense(
 AnalogCrossbarEngine::AnalogCrossbarEngine(
     std::shared_ptr<const ProgrammedArray> array,
     const AnalogEngineConfig& config)
-    : array_(std::move(array)),
-      config_(config),
-      adc_(resolve_adc_params(config, *array_)) {
+    : array_(std::move(array)), adc_(resolve_adc_params(config, *array_)) {
   FECIM_EXPECTS(array_ != nullptr);
   i_on_max_ = array_->on_current(array_->device_params().vbg_max);
   FECIM_EXPECTS(i_on_max_ > 0.0);
   const auto bands = array_->bands();
   band_attenuation_.assign(bands.size(), 1.0);
-  if (config_.model_ir_drop) {
-    if (config_.cached_ir_attenuation > 0.0) {
-      attenuation_ = config_.cached_ir_attenuation;
-    } else {
-      const auto est = circuit::estimate_line_parasitics(
-          array_->mapping().physical_rows(), i_on_max_,
-          array_->device_params().read_vdl, config_.wire);
-      attenuation_ = est.ir_attenuation;
-    }
-    if (config_.cached_band_ir_attenuation.size() == bands.size()) {
-      band_attenuation_ = config_.cached_band_ir_attenuation;
-    } else {
-      // At most two distinct band heights under the balanced split (full
-      // bands plus one remainder), so at most two extra MNA solves; a
-      // monolithic array reuses the logical attenuation outright.
-      for (std::size_t b = 0; b < bands.size(); ++b) {
-        if (bands[b].rows() == array_->mapping().physical_rows()) {
-          band_attenuation_[b] = attenuation_;
-        } else if (b > 0 && bands[b].rows() == bands[b - 1].rows()) {
-          band_attenuation_[b] = band_attenuation_[b - 1];
-        } else {
-          band_attenuation_[b] =
-              circuit::estimate_line_parasitics(
-                  bands[b].rows(), i_on_max_,
-                  array_->device_params().read_vdl, config_.wire)
-                  .ir_attenuation;
-        }
-      }
+  if (config.model_ir_drop) {
+    const auto solve = [&](std::size_t rows) {
+      return circuit::estimate_line_parasitics(
+                 rows, i_on_max_, array_->device_params().read_vdl,
+                 config.wire)
+          .ir_attenuation;
+    };
+    attenuation_ = solve(array_->mapping().physical_rows());
+    // At most two distinct band heights under the balanced split (full
+    // bands plus one remainder), so at most two extra MNA solves; a
+    // monolithic array reuses the logical attenuation outright.
+    for (std::size_t b = 0; b < bands.size(); ++b) {
+      if (bands[b].rows() == array_->mapping().physical_rows())
+        band_attenuation_[b] = attenuation_;
+      else if (b > 0 && bands[b].rows() == bands[b - 1].rows())
+        band_attenuation_[b] = band_attenuation_[b - 1];
+      else
+        band_attenuation_[b] = solve(bands[b].rows());
     }
   }
   noise_ = ReadoutNoise::for_run(0);
@@ -145,7 +132,6 @@ AnalogCrossbarEngine::AnalogCrossbarEngine(
                        (i_on_max_ * band_attenuation_[b]);
   workspace_.flip_mask.assign(array_->mapping().num_spins(), 0);
   workspace_.band_acc.assign(bands.size(), 0.0);
-  scratch_.resize(bands.size());
   const auto bits = static_cast<std::size_t>(array_->couplings().bits());
   lane_weight_.resize(4 * bits);
   for (std::size_t pass = 0; pass < 2; ++pass)
@@ -347,13 +333,13 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
   } else {
     // Stochastic readout sweep over independent (flip, band) units.
     //
-    // Serial prelude: ledger accounting, the canonical conversion-index
-    // layout (flip-major, then band, then polarity/bit/plane -- exactly the
-    // cursor order of the reference kernel), and ONE widened ziggurat fill
+    // Prelude: ledger accounting, the canonical conversion-index layout
+    // (flip-major, then band, then polarity/bit/plane -- exactly the cursor
+    // order of the reference kernel), and ONE widened ziggurat fill
     // covering every conversion of the evaluation.  Each keyed draw is a
     // pure function of its absolute conversion index, so one evaluation-wide
     // fill equals the historical per-(flip, band) fills element-wise, and
-    // any regrouping of the sweep below sees identical noise.
+    // the band-major sweep below sees identical noise.
     const std::size_t flip_count = flips.size();
     if (ws.conv_base.size() < flip_count * num_bands)
       ws.conv_base.resize(flip_count * num_bands);
@@ -391,25 +377,25 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
     const double sigma_adc = adc_.noise_sigma_current();
     const double adc_variance = sigma_adc * sigma_adc;
 
-    // Hot state as raw pointers/locals: the sweep below reads them through
-    // the lambda capture on every unit, and loading them out of the
-    // workspace vectors once keeps the per-unit code free of repeated
-    // data-pointer indirections (they are loop-invariant; the compiler
-    // cannot hoist them itself past the scratch stores).
+    // Hot state as raw pointers/locals: the sweep below reads them on every
+    // unit, and loading them out of the workspace vectors once keeps the
+    // per-unit code free of repeated data-pointer indirections (they are
+    // loop-invariant; the compiler cannot hoist them itself past the
+    // scratch stores).
     const double* const z_data = ws.z.data();
     const std::uint32_t* const conv_base = ws.conv_base.data();
     double* const band_acc = ws.band_acc.data();
     const std::uint8_t* const flip_mask = ws.flip_mask.data();
     const ProgrammedArray::ColumnView* const flip_view = ws.flip_view.data();
     const int* const flip_q = ws.flip_q.data();
-    BandScratch* const scratch = scratch_.data();
+    UnitScratch& sc = unit_;
     const double* const batt = band_attenuation_.data();
     const double* const lane_weight = lane_weight_.data();
     const ising::Spin* const spin_data = spins.data();
 
     const std::size_t unit_lanes = 2 * slots;  // 4 * bits conversion lanes
 
-    // Cell sweep of one (flip, band) unit into band scratch at lane_base:
+    // Cell sweep of one (flip, band) unit into the unit scratch:
     // bank-selecting per-cell walk over the band's contiguous sub-range of
     // the column's cells against the entry-major multiplier storage.  The
     // inner bit loop is branch-free and unit-stride (absent bits store
@@ -420,16 +406,14 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
     // walk of the reference kernel -- addition order per segment is the
     // column's cell order either way.  For dense units the unit's batched
     // draws are also de-interleaved from cursor order [pass][bit][plane]
-    // into conversion lane order [pass][plane][bit] at the same lane_base.
+    // into conversion lane order [pass][plane][bit].
     const auto sweep_cells = [&](std::size_t band, std::size_t fi,
-                                 std::size_t lane_base,
                                  bool dense) FECIM_ALWAYS_INLINE {
       const auto j = flips[fi];
       const auto& view = flip_view[fi];
       const auto range = array_->column_band_cells(band, j);
-      auto& sc = scratch[band];
-      double* FECIM_RESTRICT nsum = sc.nsum + lane_base;
-      double* FECIM_RESTRICT nsq = sc.nsq + lane_base;
+      double* FECIM_RESTRICT nsum = sc.nsum;
+      double* FECIM_RESTRICT nsq = sc.nsq;
       for (std::size_t i = 0; i < 2 * slots; ++i) nsum[i] = 0.0;
       if (track_sq)
         for (std::size_t i = 0; i < 2 * slots; ++i) nsq[i] = 0.0;
@@ -461,7 +445,7 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
         const double* z = z_data + conv_base[fi * num_bands + band];
         for (std::size_t half = 0; half < 2; ++half) {
           const double* FECIM_RESTRICT zp = z + half * slots;
-          double* FECIM_RESTRICT ztp = sc.zt + lane_base + half * slots;
+          double* FECIM_RESTRICT ztp = sc.zt + half * slots;
           FECIM_LOOP_IVDEP
           for (int b = 0; b < bits; ++b) {
             ztp[b] = zp[2 * b];
@@ -471,21 +455,17 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
       }
     };
 
-    // One band end to end: walk the flips in order, sweeping each present
-    // unit and converting it.  A DENSE unit (every (bit, plane) segment
-    // present -- the common case for non-degenerate couplings) converts
-    // both passes in one call: its conversion lane order coincides with the
-    // packed scratch layout (the pass selects its bank), so nsum/nsq/zt are
-    // read contiguously with no gathers, and the pass polarity rides in the
-    // precomputed signed lane weights.  Every weighted-code term, pass sum
-    // and band_acc partial is an exact integer well under 2^53, so any
-    // association here matches the historical int64 shift-and-add
-    // bit-for-bit.  Units are independent: each writes only its band's
-    // scratch and band_acc slot, and per band the flips arrive in flip
-    // order, so the band-parallel dispatch below is bit-identical to the
-    // serial one.
-    const auto sweep_band = [&](std::size_t band) FECIM_ALWAYS_INLINE {
-      auto& sc = scratch[band];
+    // Bands in ascending order, each end to end: walk the flips in order,
+    // sweeping each present unit and converting it.  A DENSE unit (every
+    // (bit, plane) segment present -- the common case for non-degenerate
+    // couplings) converts both passes in one call: its conversion lane
+    // order coincides with the packed scratch layout (the pass selects its
+    // bank), so nsum/nsq/zt are read contiguously with no gathers, and the
+    // pass polarity rides in the precomputed signed lane weights.  Every
+    // weighted-code term, pass sum and band_acc partial is an exact integer
+    // well under 2^53, so any association here matches the historical int64
+    // shift-and-add bit-for-bit.
+    for (std::size_t band = 0; band < num_bands; ++band) {
       const double att_b = batt[band];
       const double current_scale_b = i_on * att_b;
       const double noise_scale_b = (read_noise_rel * i_on) * att_b;
@@ -500,7 +480,7 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
           continue;
         }
         if (band_present == slots) {
-          sweep_cells(band, fi, 0, true);
+          sweep_cells(band, fi, true);
           const double both =
               track_sq ? convert_unit_dense<true>(
                              sc.nsum, sc.nsq, lane_weight, sc.zt, unit_lanes,
@@ -516,7 +496,7 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
         }
         // Sparse unit: gather the present slots through the compacted
         // slot metadata, one pass at a time.
-        sweep_cells(band, fi, 0, false);
+        sweep_cells(band, fi, false);
         const int q = flip_q[fi];
         const double* z = z_data + conv_base[fi * num_bands + band];
         const auto src = array_->column_slot_src(band, j);
@@ -541,20 +521,6 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
         }
         ++fi;
       }
-    };
-
-    if (config_.band_threads == 1 || num_bands == 1) {
-      for (std::size_t band = 0; band < num_bands; ++band) sweep_band(band);
-    } else {
-      // Band-level parallelism: each pool task owns one band end to end
-      // (all flips in flip order), meeting the serial path only at the
-      // digital partial-sum merge below.  Nested inside an already-parallel
-      // campaign replica this degrades to the serial inline sweep.
-      const auto threads = config_.band_threads < 0
-                               ? std::size_t{0}
-                               : static_cast<std::size_t>(config_.band_threads);
-      util::parallel_for(
-          num_bands, [&](std::size_t band) { sweep_band(band); }, threads);
     }
   }
 

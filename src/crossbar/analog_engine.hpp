@@ -57,32 +57,14 @@ struct AnalogEngineConfig {
   double full_scale_cells = 64.0;
   bool model_ir_drop = true;
   circuit::WireTech wire{};
-  /// Precomputed IR-drop attenuation of the *logical* (monolithic) array
-  /// for this (array, wire) pair; <= 0 means solve the MNA ladder at
-  /// construction.  Campaign annealers solve it once and stamp it here so
-  /// per-run engine instances are cheap -- the array is immutable, so the
-  /// factor cannot change between runs.  This is also the deterministic
-  /// readout's calibration point (see file comment).
-  double cached_ir_attenuation = 0.0;
-  /// Precomputed per-row-band attenuations (index = band).  Used when the
-  /// size matches the array's band count; otherwise solved at construction
-  /// (one MNA solve per distinct band height -- at most two under the
-  /// balanced split).
-  std::vector<double> cached_band_ir_attenuation;
-  /// Threads for the band-level sweep of one stochastic evaluation: 1
-  /// (default) sweeps row bands serially; 0 hands the bands to the shared
-  /// util::parallel_for pool; N caps the pool at N workers.  Every
-  /// (flip, band) unit is independent until the digital partial-sum merge
-  /// and each band owns its scratch and its band_acc slot, so results are
-  /// bit-identical for every setting (pinned by tests/test_band_parallel).
-  /// Inside an already-parallel campaign replica the nested call degrades
-  /// to the serial sweep; pair with core::Parallelism::kBand to devote the
-  /// pool to bands instead of replicas.
-  int band_threads = 1;
 };
 
 class AnalogCrossbarEngine final : public EincEngine {
  public:
+  /// Solves the IR-drop MNA ladders of the logical array and of each
+  /// distinct tile height.  Per-run engines over one array are copies of a
+  /// constructed prototype (core/crossbar_backend.hpp), so the solves run
+  /// once per array, not once per run.
   AnalogCrossbarEngine(std::shared_ptr<const ProgrammedArray> array,
                        const AnalogEngineConfig& config = {});
 
@@ -120,12 +102,11 @@ class AnalogCrossbarEngine final : public EincEngine {
   /// +1 row-polarity pass, 1 = -1; a (band, column) has at most
   /// bits * 2 <= 32 distinct classes) and, on >1-band grids, merges the
   /// band partial sums into `det_sum` before the shared conversion.
-  /// Stochastic readout works per (flip, band) unit out of band-owned
-  /// scratch (below); `z` holds the whole evaluation's batched
-  /// per-conversion draws (one widened ziggurat fill), `conv_base` the
-  /// per-(flip, band) offsets into it in canonical cursor order, and
-  /// `band_acc` accumulates each band's signed code sums for the per-tile
-  /// calibration.
+  /// Stochastic readout works per (flip, band) unit out of `unit` (below);
+  /// `z` holds the whole evaluation's batched per-conversion draws (one
+  /// widened ziggurat fill), `conv_base` the per-(flip, band) offsets into
+  /// it in canonical cursor order, and `band_acc` accumulates each band's
+  /// signed code sums for the per-tile calibration.
   struct EvalWorkspace {
     std::vector<std::uint8_t> flip_mask;
     double sum[2][32];
@@ -136,32 +117,30 @@ class AnalogCrossbarEngine final : public EincEngine {
     /// Per-flip invariants hoisted out of the (flip, band) sweep units:
     /// the column view (ProgrammedArray::column is out of line, so calling
     /// it once per flip instead of once per unit matters on tiled grids)
-    /// and the column-polarity sign q.  Read-only during the sweep, so
-    /// band-parallel workers share them safely.
+    /// and the column-polarity sign q.
     std::vector<ProgrammedArray::ColumnView> flip_view;
     std::vector<int> flip_q;
   };
 
-  /// Per-band stochastic scratch: current sums / squared-multiplier sums
-  /// packed [bank * 2bits + plane * bits + bit] (4 * bits live lanes) so the
-  /// bank-selecting per-cell sweep's inner bit loop is branch-free and
-  /// unit-stride -- and so the conversion lane order (polarity pass, then
-  /// plane, then bit; pass selects its bank) walks the scratch contiguously:
-  /// a fully-present unit converts both passes in one gather-free vector
-  /// loop.  `zt` holds the unit's draws de-interleaved from cursor order
-  /// into that lane order, `terms` the signed weighted codes.  128 lanes
-  /// comfortably cover one unit at the maximum bit width (4 * bits <= 64).
-  /// One instance per row band keeps the band-parallel sweep
-  /// write-disjoint.
-  struct alignas(64) BandScratch {
-    double nsum[128];
-    double nsq[128];
-    double zt[128];
-    double terms[128];
+  /// Stochastic scratch of one (flip, band) unit, reused by every unit of
+  /// the serial sweep (each unit zeroes its sums first): current sums /
+  /// squared-multiplier sums packed [bank * 2bits + plane * bits + bit]
+  /// (4 * bits live lanes) so the bank-selecting per-cell sweep's inner bit
+  /// loop is branch-free and unit-stride -- and so the conversion lane
+  /// order (polarity pass, then plane, then bit; pass selects its bank)
+  /// walks the scratch contiguously: a fully-present unit converts both
+  /// passes in one gather-free vector loop.  `zt` holds the unit's draws
+  /// de-interleaved from cursor order into that lane order, `terms` the
+  /// signed weighted codes.  64 lanes cover one unit at the maximum bit
+  /// width (4 * bits <= 64).
+  struct alignas(64) UnitScratch {
+    double nsum[64];
+    double nsq[64];
+    double zt[64];
+    double terms[64];
   };
 
   std::shared_ptr<const ProgrammedArray> array_;
-  AnalogEngineConfig config_;
   circuit::SarAdc adc_;
   double attenuation_ = 1.0;              ///< logical-array calibration
   std::vector<double> band_attenuation_;  ///< per row band (tile)
@@ -176,7 +155,7 @@ class AnalogCrossbarEngine final : public EincEngine {
   double cached_i_on_ = 0.0;
   ReadoutNoise noise_;
   EvalWorkspace workspace_;
-  std::vector<BandScratch> scratch_;  ///< one per row band
+  UnitScratch unit_;
   /// Signed digital weight of each conversion lane of a fully-present unit,
   /// [pass * 2bits + plane * bits + bit] = pass_sign * plane_sign * 2^bit.
   /// Folding the pass polarity into the weights lets the dense path sum

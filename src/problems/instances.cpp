@@ -6,9 +6,9 @@
 #include <memory>
 #include <numeric>
 
-#include "core/runner.hpp"
 #include "ising/qubo.hpp"
 #include "problems/coloring.hpp"
+#include "problems/maxcut.hpp"
 #include "problems/partition.hpp"
 #include "problems/warm_start.hpp"
 #include "util/assert.hpp"
@@ -52,8 +52,31 @@ ising::QuboModel negated_qubo(const ising::QuboModel& model) {
 core::ProblemInstance make_maxcut_problem(std::string name, Graph graph,
                                           std::size_t reference_restarts,
                                           std::uint64_t reference_seed) {
-  return core::as_problem(core::make_maxcut_instance(
-      std::move(name), std::move(graph), reference_restarts, reference_seed));
+  const double reference =
+      reference_cut(graph, reference_restarts, reference_seed);
+  auto shared_graph = std::make_shared<const Graph>(std::move(graph));
+
+  core::ProblemInstance problem;
+  problem.name = std::move(name);
+  problem.family = "maxcut";
+  problem.summary = std::to_string(shared_graph->num_vertices()) +
+                    " vertices, " +
+                    std::to_string(shared_graph->num_edges()) + " edges";
+  problem.objective_label = "cut";
+  problem.model = std::make_shared<const ising::IsingModel>(
+      maxcut_to_ising(*shared_graph));
+  problem.reference_objective = reference;
+  problem.sense = core::ObjectiveSense::kMaximize;
+  problem.decode = [shared_graph](std::span<const ising::Spin> spins) {
+    core::DecodedSolution solution;
+    solution.objective = cut_value(*shared_graph, spins);
+    solution.feasible = true;  // every bipartition is a valid cut
+    return solution;
+  };
+  problem.warm_start = [shared_graph] {
+    return greedy_maxcut_spins(*shared_graph);
+  };
+  return problem;
 }
 
 core::ProblemInstance make_coloring_problem(std::string name, Graph graph,

@@ -142,9 +142,15 @@ TspTour tsp_heuristic(const TspInstance& instance) {
     current = best_city;
   }
 
-  // 2-opt: reverse segments while it shortens the tour.
+  // 2-opt: reverse segments while it shortens the tour.  An improvement
+  // must beat a tolerance relative to the tour length -- at large
+  // coordinates the rounding error of `delta` dwarfs any absolute epsilon
+  // and would register endless spurious improvements -- and the pass bound
+  // caps the work like the other local searches.
+  constexpr std::size_t kMaxPasses = 1000;
+  const double tolerance = 1e-12 * tour_length(instance, tour.order);
   bool improved = true;
-  while (improved) {
+  for (std::size_t pass = 0; improved && pass < kMaxPasses; ++pass) {
     improved = false;
     for (std::size_t i = 0; i + 1 < n; ++i) {
       for (std::size_t j = i + 2; j < n; ++j) {
@@ -157,7 +163,7 @@ TspTour tsp_heuristic(const TspInstance& instance) {
                              instance.distances[b][d] -
                              instance.distances[a][b] -
                              instance.distances[c][d];
-        if (delta < -1e-12) {
+        if (delta < -tolerance) {
           std::reverse(tour.order.begin() + static_cast<std::ptrdiff_t>(i) + 1,
                        tour.order.begin() + static_cast<std::ptrdiff_t>(j) + 1);
           improved = true;

@@ -63,8 +63,8 @@ std::size_t resolved_parallel_threads(std::size_t count, std::size_t threads);
 /// path.  Fork-spawned shard workers call this first thing: the persistent
 /// pool's threads do not survive fork, so a child that submitted work to the
 /// inherited pool state would block forever.  Serial execution is
-/// bit-identical by construction (fixed per-run seeds, disjoint slots), so
-/// the only cost is losing engine-level band parallelism inside the child.
+/// bit-identical by construction (fixed per-run seeds, disjoint slots), and
+/// each child runs its shard's replicas one after another anyway.
 void force_serial_parallelism() noexcept;
 
 }  // namespace fecim::util

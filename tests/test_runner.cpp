@@ -6,32 +6,33 @@
 #include "core/annealer_factory.hpp"
 #include "core/runner.hpp"
 #include "problems/generators.hpp"
-#include "problems/maxcut.hpp"
+#include "problems/instances.hpp"
 
 namespace {
 
 using namespace fecim;
 
-core::MaxcutInstance small_instance(std::uint64_t seed) {
-  return core::make_maxcut_instance(
-      "test",
-      problems::random_graph(48, 6.0, problems::WeightScheme::kUnit, seed),
-      32, seed);
+problems::Graph small_graph(std::uint64_t seed) {
+  return problems::random_graph(48, 6.0, problems::WeightScheme::kUnit, seed);
+}
+
+core::ProblemInstance small_instance(std::uint64_t seed) {
+  return problems::make_maxcut_problem("test", small_graph(seed), 32, seed);
 }
 
 TEST(Runner, InstanceBundleIsConsistent) {
   const auto instance = small_instance(1);
-  EXPECT_EQ(instance.graph->num_vertices(), 48u);
+  EXPECT_EQ(instance.summary.rfind("48 vertices", 0), 0u);
   EXPECT_EQ(instance.model->num_spins(), 48u);
-  EXPECT_GT(instance.reference_cut, 0.0);
-  EXPECT_LE(instance.reference_cut, instance.graph->total_abs_weight());
+  EXPECT_GT(instance.reference_objective, 0.0);
+  EXPECT_LE(instance.reference_objective, small_graph(1).total_abs_weight());
 }
 
 TEST(Runner, ToroidalReferenceIsCertified) {
-  const auto instance = core::make_maxcut_instance(
+  const auto instance = problems::make_maxcut_problem(
       "torus",
       problems::toroidal_grid(6, 8, problems::WeightScheme::kUnit, 2), 1);
-  EXPECT_DOUBLE_EQ(instance.reference_cut, 96.0);  // every edge cut
+  EXPECT_DOUBLE_EQ(instance.reference_objective, 96.0);  // every edge cut
 }
 
 TEST(Runner, CampaignAggregatesRuns) {
@@ -42,7 +43,7 @@ TEST(Runner, CampaignAggregatesRuns) {
       core::make_annealer(core::AnnealerKind::kThisWork, instance.model, setup);
   core::CampaignConfig config;
   config.runs = 8;
-  const auto result = core::run_maxcut_campaign(*annealer, instance, config);
+  const auto result = core::run_campaign(*annealer, instance, config);
   EXPECT_EQ(result.runs, 8u);
   EXPECT_EQ(result.objective.count(), 8u);
   EXPECT_GT(result.objective.mean(), 0.0);
@@ -70,8 +71,8 @@ TEST(Runner, ThreadCountDoesNotChangeResults) {
   serial.threads = 1;
   core::CampaignConfig parallel = serial;
   parallel.threads = 4;
-  const auto a = core::run_maxcut_campaign(*annealer, instance, serial);
-  const auto b = core::run_maxcut_campaign(*annealer, instance, parallel);
+  const auto a = core::run_campaign(*annealer, instance, serial);
+  const auto b = core::run_campaign(*annealer, instance, parallel);
   EXPECT_DOUBLE_EQ(a.objective.mean(), b.objective.mean());
   EXPECT_DOUBLE_EQ(a.success_rate, b.success_rate);
   EXPECT_EQ(a.total_ledger.adc_conversions, b.total_ledger.adc_conversions);
@@ -89,10 +90,10 @@ TEST(Runner, SuccessThresholdIsRespected) {
   core::CampaignConfig impossible = lenient;
   impossible.success_threshold = 1.01;  // beyond the reference
   EXPECT_DOUBLE_EQ(
-      core::run_maxcut_campaign(*annealer, instance, lenient).success_rate,
+      core::run_campaign(*annealer, instance, lenient).success_rate,
       1.0);
   EXPECT_DOUBLE_EQ(
-      core::run_maxcut_campaign(*annealer, instance, impossible).success_rate,
+      core::run_campaign(*annealer, instance, impossible).success_rate,
       0.0);
 }
 
@@ -104,7 +105,7 @@ TEST(Runner, EnergySplitsSumToTotal) {
       core::make_annealer(core::AnnealerKind::kCimFpga, instance.model, setup);
   core::CampaignConfig config;
   config.runs = 3;
-  const auto result = core::run_maxcut_campaign(*baseline, instance, config);
+  const auto result = core::run_campaign(*baseline, instance, config);
   // ADC + e^x dominate; they must not exceed the total.
   EXPECT_LE(result.adc_energy.mean() + result.exp_energy.mean(),
             result.energy.mean() + 1e-18);

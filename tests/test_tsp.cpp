@@ -1,10 +1,12 @@
 // TSP QUBO encoding, decoding, heuristics, and end-to-end annealing.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <numeric>
 
 #include "core/annealer_factory.hpp"
+#include "problems/instance_io.hpp"
 #include "problems/tsp.hpp"
 #include "util/assert.hpp"
 
@@ -64,6 +66,31 @@ TEST(Tsp, HeuristicFindsOptimumOnSmallInstances) {
     EXPECT_LE(tour.length, optimum * 1.05 + 1e-9);
     EXPECT_GE(tour.length, optimum - 1e-9);
   }
+}
+
+TEST(Tsp, HeuristicTerminatesAtHugeCoordinates) {
+  // examples/data/tsp_ulysses5.tsp with city 1 moved to x ~ 1e22.  At that
+  // magnitude the 2-opt delta's rounding error exceeds any absolute
+  // epsilon; the unbounded loop used to accept spurious "improvements"
+  // forever.
+  const auto instance = problems::read_tsplib(std::string_view(
+      "NAME : tsp_ulysses5\n"
+      "TYPE : TSP\n"
+      "DIMENSION : 5\n"
+      "EDGE_WEIGHT_TYPE : EUC_2D\n"
+      "NODE_COORD_SECTION\n"
+      "1 9999999999999999999990 0\n"
+      "2 30 0\n"
+      "3 30 40\n"
+      "4 0 40\n"
+      "5 15 20\n"
+      "EOF\n"));
+  const auto start = std::chrono::steady_clock::now();
+  const auto tour = problems::tsp_heuristic(instance);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_TRUE(tour.valid);
+  EXPECT_EQ(tour.order.size(), 5u);
+  EXPECT_TRUE(std::isfinite(tour.length));
 }
 
 TEST(Tsp, QuboValueEqualsTourLengthForValidAssignments) {

@@ -35,7 +35,10 @@
 # includes the mmap LineParser differential in test_instance_io (unaligned
 # tails, empty files, files without a trailing newline).
 #
-# Usage: tools/check.sh [--full] [--full-bench] [--sanitize]
+# Under --tsan the threaded suites (thread pool, campaigns, shared array
+# cache, runner) run ThreadSanitizer-instrumented.
+#
+# Usage: tools/check.sh [--full] [--full-bench] [--sanitize] [--tsan]
 #   --full         run the complete ctest suite (every label) instead of
 #                  the tier-1 fast loop; implied by --full-bench.
 #   --full-bench   run the complete suite, then additionally run
@@ -49,6 +52,8 @@
 #                  memory-safety workout of the vectorized sweep -- then
 #                  exit; sanitized binaries are too slow for the bench gate
 #                  to be meaningful.
+#   --tsan         build the tsan preset (thread sanitizer) and run the
+#                  threaded suites under it, then exit.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -57,11 +62,13 @@ cd "${repo_root}"
 full=0
 full_bench=0
 sanitize=0
+tsan=0
 for arg in "$@"; do
   case "${arg}" in
     --full) full=1 ;;
     --full-bench) full_bench=1; full=1 ;;
     --sanitize) sanitize=1 ;;
+    --tsan) tsan=1 ;;
     *) echo "unknown argument: ${arg}" >&2; exit 2 ;;
   esac
 done
@@ -75,6 +82,17 @@ if [[ "${sanitize}" == 1 ]]; then
   ctest --test-dir build-asan --output-on-failure -L differential \
     --no-tests=error
   echo "check.sh: sanitized test suite (incl. differential layer) OK"
+  exit 0
+fi
+
+if [[ "${tsan}" == 1 ]]; then
+  cmake --preset tsan
+  threaded_suites=(test_util test_campaign test_array_cache test_runner)
+  cmake --build build-tsan -j"$(nproc)" --target "${threaded_suites[@]}"
+  # Anchored: an unanchored test_runner would also match test_shard_runner.
+  ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
+    -R "^($(IFS='|'; echo "${threaded_suites[*]}"))\$" --no-tests=error
+  echo "check.sh: thread-sanitized threaded suites OK"
   exit 0
 fi
 
@@ -95,7 +113,8 @@ else
 fi
 
 # Smoke configuration: smallest size, few iterations; the JSON goes to the
-# build tree (never the tracked baseline) for the regression gate.
+# build tree (never the tracked baseline) for the regression gate.  A failed
+# determinism check makes bench_hotpath exit non-zero, which stops here.
 smoke_json="build/bench_smoke.json"
 FECIM_BENCH_SMOKE=1 FECIM_BENCH_OUT="${smoke_json}" ./build/bench/bench_hotpath
 
