@@ -18,33 +18,23 @@
 //   3. In-situ annealer iterations/sec on the ideal engine (local-field
 //      cache + zero-allocation loop vs seed loop with per-call n-byte
 //      bitmap zero-fills and per-iteration allocations).
-//   4. Instance ingestion: parsing a Gset-scale edge list (text -> Graph,
-//      via the hardened read_gset on the shared instance_io core) and
-//      programming it into a crossbar (quantize + map + ProgrammedArray).
-//      Tracks the O(m) edge-merge path -- the seed's O(m^2) parallel-edge
-//      scan made 20k-edge files minutes-slow -- but is never gated
-//      (tools/bench_gate.py), since parse cost is not a hot-path signal.
-//   5. Campaign wall-clock at N in {256, 1024} in two regimes: "analog"
-//      (deterministic device) pits run_campaign (persistent pool,
-//      zero-allocation inner loops, mutex-free reduction) against a
-//      faithful legacy campaign (reference kernels, per-iteration
-//      allocations, thread spawn per call, merge mutex); "analog-noisy"
-//      measures replica-parallel scaling of the stochastic path
-//      (threads=N vs threads=1 -- legal since counter-keyed noise streams
-//      unbound runs from a shared RNG).  "analog-lifecycle" reruns the
-//      deterministic campaign with an armed (never-tripping) run deadline
-//      against the token-free path, pinning the amortized cancellation
-//      poll's overhead at ~1.0x (PERF.md invariant).  The n=256 rows run in
-//      every mode so check.sh smoke passes always have baseline rows to
-//      gate on.  Schema v7 adds an "sb-ballistic" row: the simulated-
-//      bifurcation backend's campaign wall-clock (parallel vs serial), with
-//      a per-run replica-determinism assertion on its counter-keyed dither.
-//      Schema v8 adds "analog-noisy-sharded": the noisy campaign across two
-//      fork-spawned worker processes streaming journal-format records over
-//      pipes (core/shard_runner.hpp) vs the in-process pool, asserting the
-//      reduction stays bit-identical across the process boundary; every
-//      campaign row now also carries its "workers" topology (0 =
-//      in-process).
+//   4. Campaign wall-clock at N in {256, 1024}: one table of rows
+//      (campaign_specs), each timing a reference and an optimized campaign
+//      on the same workload and requiring the two to agree run by run.
+//      "analog" pits run_campaign (persistent pool, zero-allocation inner
+//      loops, mutex-free reduction) against a faithful legacy campaign
+//      (reference kernels, per-iteration allocations, thread spawn per
+//      call, merge mutex); "analog-noisy" and "sb-ballistic" measure
+//      replica-parallel scaling (threads=N vs threads=1 -- legal since
+//      counter-keyed noise and dither streams unbind runs from a shared
+//      RNG); "analog-lifecycle" arms a never-tripping run deadline against
+//      the token-free path, pinning the amortized cancellation poll's
+//      overhead at ~1.0x (PERF.md invariant); "analog-batch-cached" replays
+//      one short campaign through a shared array cache vs per-construction
+//      programming; "analog-noisy-sharded" runs the noisy campaign across
+//      two fork-spawned worker processes (core/shard_runner.hpp) vs the
+//      in-process pool.  The n=256 rows run in every mode so check.sh smoke
+//      passes always have baseline rows to gate on.
 //
 // Emits machine-readable JSON (default BENCH_hotpath.json; FECIM_BENCH_OUT
 // overrides) so the perf trajectory is tracked across PRs.
@@ -56,7 +46,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,7 +61,6 @@
 #include "crossbar/ideal_engine.hpp"
 #include "crossbar/reference_kernels.hpp"
 #include "problems/generators.hpp"
-#include "problems/gset_io.hpp"
 #include "problems/maxcut.hpp"
 #include "util/timer.hpp"
 
@@ -84,8 +72,8 @@ using namespace fecim;
 /// and counted, and main() exits non-zero when any fired.
 std::size_t g_mismatches = 0;
 
-void report_mismatch(const char* what) {
-  std::fprintf(stderr, "bench_hotpath: %s mismatch\n", what);
+void report_mismatch(const std::string& what) {
+  std::fprintf(stderr, "bench_hotpath: %s mismatch\n", what.c_str());
   ++g_mismatches;
 }
 
@@ -99,7 +87,7 @@ struct EngineRow {
 
 struct CampaignRow {
   std::size_t n = 0;
-  std::string kind;  ///< "analog" (vs seed legacy) | "analog-noisy" (threads scaling)
+  std::string kind;  ///< CampaignSpec::kind
   std::size_t runs = 0;
   std::size_t iterations = 0;
   std::size_t threads = 0;
@@ -166,8 +154,8 @@ AnalogWorkload make_analog_workload(const ising::IsingModel& model,
   AnalogWorkload workload{
       config,
       std::make_shared<const crossbar::ProgrammedArray>(
-          quantized, mapping, config.device, config.variation, 0x5eed,
-          tiles),
+          quantized, mapping, config.device, config.variation,
+          core::kArraySeed, tiles),
       core::BgAnnealingSchedule([&] {
         auto schedule_config = config.schedule;
         schedule_config.total_iterations = iterations;
@@ -357,77 +345,6 @@ EngineRow bench_ideal_annealer(std::size_t n, std::size_t iterations) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Instance ingestion: Gset-scale parse + crossbar programming.
-// ---------------------------------------------------------------------------
-
-struct IngestionRow {
-  std::size_t n = 0;
-  std::size_t edges = 0;
-  double parse_seconds = 0.0;
-  double program_seconds = 0.0;
-  /// Second programming of the same digest through the array cache: the
-  /// steady-state cost a batch/serve workload pays per repeated instance.
-  double program_seconds_cached = 0.0;
-  double edges_per_sec_parse = 0.0;
-};
-
-IngestionRow bench_ingestion(std::size_t n, double avg_degree) {
-  const auto graph = problems::random_graph(
-      n, avg_degree, problems::WeightScheme::kPlusMinusOne, 4000 + n);
-  std::string text;
-  {
-    std::ostringstream out;
-    problems::write_gset(graph, out);
-    text = out.str();
-  }
-
-  IngestionRow row;
-  row.n = n;
-  row.edges = graph.num_edges();
-
-  std::size_t checksum = 0;
-  row.parse_seconds = best_of_three_seconds([&] {
-    std::istringstream in(text);
-    const auto parsed = problems::read_gset(in);
-    checksum += parsed.num_edges();
-  });
-  row.edges_per_sec_parse =
-      static_cast<double>(row.edges) / row.parse_seconds;
-
-  const auto model = problems::maxcut_to_ising(graph);
-  const core::InSituConfig config;  // default device / mapping / variation
-  row.program_seconds = best_of_three_seconds([&] {
-    const crossbar::QuantizedCouplings quantized(model.couplings(),
-                                                 config.mapping.bits);
-    const crossbar::CrossbarMapping mapping(
-        model.num_spins(), quantized.has_negative() ? 2 : 1, config.mapping);
-    const crossbar::ProgrammedArray array(quantized, mapping, config.device,
-                                          config.variation, 0x5eed);
-    checksum += array.device_params().vbg_max > 0.0;
-  });
-
-  // Cache-hit programming: the first get_or_build pays the cold build, the
-  // timed repeats measure the digest-keyed lookup a batch/serve workload
-  // sees on every repeated instance (includes re-hashing the couplings).
-  {
-    const crossbar::QuantizedCouplings quantized(model.couplings(),
-                                                 config.mapping.bits);
-    const crossbar::CrossbarMapping mapping(
-        model.num_spins(), quantized.has_negative() ? 2 : 1, config.mapping);
-    crossbar::ArrayCache cache;
-    cache.get_or_build(quantized, mapping, config.device, config.variation,
-                       0x5eed, {});
-    row.program_seconds_cached = best_of_three_seconds([&] {
-      const auto array = cache.get_or_build(quantized, mapping, config.device,
-                                            config.variation, 0x5eed, {});
-      checksum += array->device_params().vbg_max > 0.0;
-    });
-  }
-  if (checksum == 1) std::printf("(unreachable checksum)\n");
-  return row;
-}
-
-// ---------------------------------------------------------------------------
 // 5. Campaign wall-clock: optimized runner vs faithful legacy campaign.
 // ---------------------------------------------------------------------------
 
@@ -486,313 +403,229 @@ core::ProblemInstance campaign_instance(std::size_t n) {
       8, 3000 + n);
 }
 
-CampaignRow bench_campaign(std::size_t n, std::size_t runs,
-                           std::size_t iterations) {
-  const auto instance = campaign_instance(n);
+/// What one side of a campaign row produced on its last timed pass, in run
+/// order.  Empty for the seed-era legacy loop, which has no CampaignResult.
+using CampaignResults = std::vector<core::CampaignResult>;
+using CampaignBody = std::function<CampaignResults()>;
 
-  CampaignRow row;
-  row.n = n;
-  row.kind = "analog";
-  row.runs = runs;
-  row.iterations = iterations;
-  row.threads = util::worker_threads();
+/// One campaign row: the same workload run by a reference body and an
+/// optimized body, each call of a body being one full timed pass.
+struct CampaignSpec {
+  const char* kind;             ///< JSON "kind"
+  const char* reference_label;  ///< console name of the reference side
+  std::size_t runs = 0;         ///< runs per pass, summed over repeats
+  std::size_t iterations = 0;
+  std::size_t workers = 0;      ///< forked shard processes; 0 = in-process
+  CampaignBody reference;
+  CampaignBody optimized;
+};
 
-  auto config = analog_config(/*noisy=*/false);
-  config.iterations = iterations;
-  config.flips_per_iteration = 2;
-  config.flip_selection = core::InSituConfig::FlipSelection::kRandom;
-  const core::InSituCimAnnealer annealer(instance.model, config);
-  core::CampaignConfig campaign;
-  campaign.runs = runs;
+/// The seed-era reference of the "analog" row: the legacy run loop over
+/// the annealer's own programmed weights, engine config and per-run seeds,
+/// on one spawned thread per run slot, merging through a mutex.  It yields
+/// no CampaignResult, so it checks its run count itself.
+CampaignBody legacy_analog_campaign(
+    std::shared_ptr<const core::ProblemInstance> instance,
+    const core::InSituCimAnnealer& annealer, std::size_t runs,
+    std::size_t iterations) {
+  auto workload = std::make_shared<AnalogWorkload>(
+      make_analog_workload(*instance->model, iterations, /*noisy=*/false));
+  workload->array = annealer.array();  // identical programmed weights
+  auto probe = std::make_shared<const crossbar::AnalogCrossbarEngine>(
+      workload->array, workload->config.analog);
+  const double i_on_max =
+      workload->array->on_current(workload->array->device_params().vbg_max);
+  util::Rng seeder(core::CampaignConfig{}.base_seed);
+  std::vector<std::uint64_t> seeds(runs);
+  for (auto& s : seeds) s = seeder();
+  const std::size_t threads = std::min(util::worker_threads(), runs);
 
-  row.optimized_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(annealer, instance, campaign);
-    if (result.runs != runs) report_mismatch("campaign run");
-  });
-
-  {
-    auto workload =
-        make_analog_workload(*instance.model, iterations, /*noisy=*/false);
-    workload.array = annealer.array();  // identical programmed weights
-    const crossbar::AnalogCrossbarEngine probe(workload.array, config.analog);
-    const double i_on_max =
-        workload.array->on_current(workload.array->device_params().vbg_max);
-    util::Rng seeder(campaign.base_seed);
-    std::vector<std::uint64_t> seeds(runs);
-    for (auto& s : seeds) s = seeder();
-
-    row.legacy_seconds = best_of_three_seconds([&] {
-      util::RunningStats best;
-      std::mutex merge_mutex;  // the seed runner's serialization point
-      legacy_parallel_for(
-          runs,
-          [&](std::size_t run) {
-            const double b = legacy_insitu_run(*instance.model, workload,
-                                               probe, i_on_max, iterations,
-                                               seeds[run]);
-            const std::lock_guard<std::mutex> lock(merge_mutex);
-            best.add(b);
-          },
-          std::min<std::size_t>(row.threads, runs));
-      if (best.count() != runs) report_mismatch("legacy run");
-    });
-  }
-
-  row.speedup = row.legacy_seconds / row.optimized_seconds;
-  return row;
+  return [=] {
+    util::RunningStats best;
+    std::mutex merge_mutex;  // the seed runner's serialization point
+    legacy_parallel_for(
+        runs,
+        [&](std::size_t run) {
+          const double b = legacy_insitu_run(*instance->model, *workload,
+                                             *probe, i_on_max, iterations,
+                                             seeds[run]);
+          const std::lock_guard<std::mutex> lock(merge_mutex);
+          best.add(b);
+        },
+        threads);
+    if (best.count() != runs) report_mismatch("legacy run count");
+    return CampaignResults{};
+  };
 }
 
-/// Replica-parallel noisy-analog campaign: counter-keyed noise streams made
-/// parallel noisy evaluation legal (runs no longer serialize on one RNG), so
-/// the same run_campaign call scales across workers.  legacy_seconds holds
-/// the threads=1 wall time, optimized_seconds the all-cores wall time; on a
-/// single-core host the ratio degenerates to ~1.
-CampaignRow bench_noisy_campaign(std::size_t n, std::size_t runs,
-                                 std::size_t iterations) {
-  const auto instance = campaign_instance(n);
+/// The campaign rows at size n, in JSON order.  The deterministic in-situ
+/// rows run `runs` x `iterations`; the noisy and batch rows a quarter of
+/// the iterations.  Every optimized side must reproduce its reference run
+/// for run (checked by run_campaign_row).
+std::vector<CampaignSpec> campaign_specs(std::size_t n, std::size_t runs,
+                                         std::size_t iterations) {
+  const auto instance =
+      std::make_shared<const core::ProblemInstance>(campaign_instance(n));
+  const auto insitu = [](bool noisy, std::size_t budget) {
+    auto config = analog_config(noisy);
+    config.iterations = budget;
+    config.flips_per_iteration = 2;
+    config.flip_selection = core::InSituConfig::FlipSelection::kRandom;
+    return config;
+  };
+  const auto campaign = [instance](
+                            std::shared_ptr<const core::Annealer> annealer,
+                            core::CampaignConfig config) -> CampaignBody {
+    return [instance, annealer, config] {
+      return CampaignResults{
+          core::run_campaign(*annealer, *instance, config)};
+    };
+  };
 
-  CampaignRow row;
-  row.n = n;
-  row.kind = "analog-noisy";
-  row.runs = runs;
-  row.iterations = iterations;
-  row.threads = util::worker_threads();
+  const auto deterministic = std::make_shared<const core::InSituCimAnnealer>(
+      instance->model, insitu(false, iterations));
+  const auto noisy = std::make_shared<const core::InSituCimAnnealer>(
+      instance->model, insitu(true, iterations / 4));
+  // The step budget is scaled by 2/n so SB senses about as many columns as
+  // the in-situ rows (one SB step = n field readouts).
+  core::StandardSetup sb_setup;
+  sb_setup.iterations = std::max<std::size_t>(10, iterations * 2 / n);
+  const std::shared_ptr<const core::Annealer> sb = core::make_annealer(
+      core::AnnealerKind::kSbBallistic, instance->model, sb_setup);
 
-  auto config = analog_config(/*noisy=*/true);
-  config.iterations = iterations;
-  config.flips_per_iteration = 2;
-  config.flip_selection = core::InSituConfig::FlipSelection::kRandom;
-  const core::InSituCimAnnealer annealer(instance.model, config);
-
-  core::CampaignConfig serial;
-  serial.runs = runs;
-  serial.threads = 1;
-  core::CampaignConfig parallel = serial;
-  parallel.threads = row.threads;
-
-  double serial_objective = 0.0;
-  row.legacy_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(annealer, instance, serial);
-    serial_objective = result.objective.mean();
-  });
-  row.optimized_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(annealer, instance, parallel);
-    // Replica parallelism must not change results (keyed noise streams).
-    if (result.objective.mean() != serial_objective)
-      report_mismatch("noisy campaign thread-determinism");
-  });
-
-  row.speedup = row.legacy_seconds / row.optimized_seconds;
-  return row;
-}
-
-/// Sharded noisy-analog campaign row (schema v8): the same noisy campaign
-/// as "analog-noisy", executed by two fork-spawned worker processes
-/// streaming journal-format records back over pipes (core/shard_runner.hpp)
-/// vs the in-process serial path.  The row tracks multi-process campaign
-/// wall-clock across PRs and hard-asserts process-topology determinism --
-/// the sharded mean must equal the in-process mean bitwise on every bench
-/// run.  Skipped (not emitted) on platforms without fork.
-CampaignRow bench_sharded_campaign(std::size_t n, std::size_t runs,
-                                   std::size_t iterations) {
-  const auto instance = campaign_instance(n);
-
-  CampaignRow row;
-  row.n = n;
-  row.kind = "analog-noisy-sharded";
-  row.runs = runs;
-  row.iterations = iterations;
-  row.threads = util::worker_threads();
-  row.workers = 2;
-
-  auto config = analog_config(/*noisy=*/true);
-  config.iterations = iterations;
-  config.flips_per_iteration = 2;
-  config.flip_selection = core::InSituConfig::FlipSelection::kRandom;
-  const core::InSituCimAnnealer annealer(instance.model, config);
-
-  core::CampaignConfig in_process;
-  in_process.runs = runs;
-  in_process.threads = 1;
-  core::CampaignConfig sharded = in_process;
-  sharded.workers = row.workers;
-
-  double in_process_objective = 0.0;
-  row.legacy_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(annealer, instance, in_process);
-    in_process_objective = result.objective.mean();
-  });
-  row.optimized_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(annealer, instance, sharded);
-    // Records cross a process boundary as journal-format lines; the
-    // reduction must still be bit-identical to the in-process pool.
-    if (result.objective.mean() != in_process_objective)
-      report_mismatch("sharded campaign process-determinism");
-  });
-
-  row.speedup = row.legacy_seconds / row.optimized_seconds;
-  return row;
-}
-
-/// Lifecycle-overhead row: the identical deterministic campaign with and
-/// without an active CancellationToken (a generous run deadline arms the
-/// amortized in-loop poll; the token-free run reduces it to one predictable
-/// branch per kCancellationCheckStride iterations).  The speedup is the
-/// no-token/with-token wall-clock ratio -- PERF.md pins it at ~1.0, i.e. the
-/// run lifecycle costs under a percent of campaign throughput, and the bench
-/// gate fails the build if token overhead ever grows past its tolerance.
-CampaignRow bench_lifecycle_campaign(std::size_t n, std::size_t runs,
-                                     std::size_t iterations) {
-  const auto instance = campaign_instance(n);
-
-  CampaignRow row;
-  row.n = n;
-  row.kind = "analog-lifecycle";
-  row.runs = runs;
-  row.iterations = iterations;
-  row.threads = util::worker_threads();
-
-  auto config = analog_config(/*noisy=*/false);
-  config.iterations = iterations;
-  config.flips_per_iteration = 2;
-  config.flip_selection = core::InSituConfig::FlipSelection::kRandom;
-  const core::InSituCimAnnealer annealer(instance.model, config);
-
-  core::CampaignConfig plain;
-  plain.runs = runs;
-  core::CampaignConfig with_deadlines = plain;
+  core::CampaignConfig pooled;  // threads = 0: the whole pool
+  pooled.runs = runs;
+  core::CampaignConfig with_deadlines = pooled;
   with_deadlines.run_timeout_seconds = 3600.0;  // never trips; polls stay hot
-
-  double plain_energy = 0.0;
-  row.legacy_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(annealer, instance, plain);
-    plain_energy = result.per_run.front().best_energy;
-  });
-  row.optimized_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(annealer, instance, with_deadlines);
-    // An untripped deadline must not perturb the run stream.
-    if (result.per_run.front().best_energy != plain_energy)
-      report_mismatch("lifecycle campaign determinism");
-  });
-
-  row.speedup = row.legacy_seconds / row.optimized_seconds;
-  return row;
-}
-
-/// Simulated-bifurcation campaign row (schema v7): the SB backend on the
-/// same analog array class, replica-parallel vs serial.  SB's dither stream
-/// is counter-keyed exactly like the readout noise, so parallel runs must be
-/// bit-identical to serial ones -- this row both tracks SB campaign
-/// wall-clock across PRs and asserts that thread-invariance on every bench
-/// run.  The step budget is scaled by 2/n so the row senses about as many
-/// columns as the in-situ campaign rows (one SB step = n field readouts).
-CampaignRow bench_sb_campaign(std::size_t n, std::size_t runs,
-                              std::size_t insitu_iterations) {
-  const auto instance = campaign_instance(n);
-
-  CampaignRow row;
-  row.n = n;
-  row.kind = "sb-ballistic";
-  row.runs = runs;
-  row.iterations =
-      std::max<std::size_t>(10, insitu_iterations * 2 / n);
-  row.threads = util::worker_threads();
-
-  core::StandardSetup setup;
-  setup.iterations = row.iterations;
-  const auto annealer = core::make_annealer(core::AnnealerKind::kSbBallistic,
-                                            instance.model, setup);
-
-  core::CampaignConfig serial;
-  serial.runs = runs;
+  core::CampaignConfig serial = pooled;
   serial.threads = 1;
   core::CampaignConfig parallel = serial;
-  parallel.threads = row.threads;
+  parallel.threads = util::worker_threads();
+  core::CampaignConfig sharded = serial;
+  sharded.workers = 2;
 
-  double serial_objective = 0.0;
-  row.legacy_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(*annealer, instance, serial);
-    serial_objective = result.objective.mean();
-  });
-  row.optimized_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(*annealer, instance, parallel);
-    // Counter-keyed dither: replica parallelism must not change results.
-    if (result.objective.mean() != serial_objective)
-      report_mismatch("sb campaign thread-determinism");
-  });
+  // Duplicate-heavy batch: 6 fresh annealers replaying one 4-run campaign,
+  // the way run_batch and the serve loop replay a repeated manifest entry.
+  // The cached side shares one digest-keyed array cache, created inside the
+  // pass so its first repeat pays the cold build.
+  constexpr std::size_t kBatchRepeats = 6;
+  core::CampaignConfig batch_campaign;
+  batch_campaign.runs = 4;
+  const auto batch = [instance, batch_campaign,
+                      config = insitu(false, iterations / 4)](
+                         bool cached) -> CampaignBody {
+    return [=] {
+      auto pass_config = config;
+      if (cached)
+        pass_config.array_cache = std::make_shared<crossbar::ArrayCache>();
+      CampaignResults results;
+      for (std::size_t repeat = 0; repeat < kBatchRepeats; ++repeat) {
+        const core::InSituCimAnnealer annealer(instance->model, pass_config);
+        results.push_back(
+            core::run_campaign(annealer, *instance, batch_campaign));
+      }
+      return results;
+    };
+  };
 
-  row.speedup = row.legacy_seconds / row.optimized_seconds;
-  return row;
+  std::vector<CampaignSpec> specs{
+      // Persistent pool, zero-allocation loops, mutex-free reduction vs the
+      // seed-era campaign.
+      {"analog", "legacy", runs, iterations, 0,
+       legacy_analog_campaign(instance, *deterministic, runs, iterations),
+       campaign(deterministic, pooled)},
+      // Replica-parallel scaling of the noisy path (counter-keyed streams);
+      // ~1x on a single-core host.
+      {"analog-noisy", "serial", runs, iterations / 4, 0,
+       campaign(noisy, serial), campaign(noisy, parallel)},
+      // An armed, never-tripping run deadline vs the token-free path: the
+      // amortized cancellation poll's overhead, pinned at ~1.0x (PERF.md).
+      {"analog-lifecycle", "no-token", runs, iterations, 0,
+       campaign(deterministic, pooled),
+       campaign(deterministic, with_deadlines)},
+      // Shared array cache vs per-construction programming.
+      {"analog-batch-cached", "uncached", kBatchRepeats * batch_campaign.runs,
+       iterations / 4, 0, batch(false), batch(true)},
+      // Simulated-bifurcation dynamics on the same array class, parallel vs
+      // serial (counter-keyed dither).
+      {"sb-ballistic", "serial", runs, sb_setup.iterations, 0,
+       campaign(sb, serial), campaign(sb, parallel)},
+  };
+  // The noisy campaign across two forked workers streaming journal-format
+  // records (core/shard_runner.hpp) vs the in-process serial path.
+  if (core::shard_runner_supported())
+    specs.push_back({"analog-noisy-sharded", "in-process", runs,
+                     iterations / 4, sharded.workers, campaign(noisy, serial),
+                     campaign(noisy, sharded)});
+  return specs;
 }
 
-/// Amortized batch row: the identical short campaign constructed and run
-/// `repeats` times (one fresh annealer each, the way run_batch and the serve
-/// loop replay a repeated manifest entry).  optimized shares one
-/// digest-keyed array cache across the repeats -- the array programs once
-/// and every later annealer construction is a lookup; legacy programs a
-/// fresh array per construction (the pre-cache behavior).  The speedup is
-/// the amortization factor a duplicate-heavy batch/serve workload sees.
-CampaignRow bench_cached_batch_campaign(std::size_t n, std::size_t repeats,
-                                        std::size_t runs,
-                                        std::size_t iterations) {
-  const auto instance = campaign_instance(n);
-
-  CampaignRow row;
-  row.n = n;
-  row.kind = "analog-batch-cached";
-  row.runs = repeats * runs;
-  row.iterations = iterations;
-  row.threads = util::worker_threads();
-
-  auto config = analog_config(/*noisy=*/false);
-  config.iterations = iterations;
-  config.flips_per_iteration = 2;
-  config.flip_selection = core::InSituConfig::FlipSelection::kRandom;
-  core::CampaignConfig campaign;
-  campaign.runs = runs;
-
-  double objective_uncached = 0.0;
-  row.legacy_seconds = best_of_three_seconds([&] {
-    objective_uncached = 0.0;
-    for (std::size_t repeat = 0; repeat < repeats; ++repeat) {
-      const core::InSituCimAnnealer annealer(instance.model, config);
-      const auto result = core::run_campaign(annealer, instance, campaign);
-      objective_uncached += result.objective.mean();
+/// Run-by-run equality of the two sides' last passes: seed, status, best
+/// energy and best configuration of every run, and each campaign's ADC
+/// conversion count.  Runs outside the timed regions.
+void check_campaign(const CampaignSpec& spec, const CampaignResults& reference,
+                    const CampaignResults& optimized) {
+  const std::string row = std::string("campaign ") + spec.kind;
+  std::size_t runs = 0;
+  for (const auto& result : optimized) runs += result.per_run.size();
+  if (runs != spec.runs) return report_mismatch(row + " run count");
+  if (reference.empty()) return;  // the legacy loop checked itself
+  if (reference.size() != optimized.size())
+    return report_mismatch(row + " campaign count");
+  for (std::size_t c = 0; c < reference.size(); ++c) {
+    const auto& expected = reference[c];
+    const auto& actual = optimized[c];
+    if (expected.total_ledger.adc_conversions !=
+        actual.total_ledger.adc_conversions)
+      return report_mismatch(row + " ADC conversion count");
+    if (expected.per_run.size() != actual.per_run.size())
+      return report_mismatch(row + " run count");
+    for (std::size_t r = 0; r < expected.per_run.size(); ++r) {
+      const auto& a = expected.per_run[r];
+      const auto& b = actual.per_run[r];
+      if (a.seed != b.seed || a.status != b.status ||
+          a.best_energy != b.best_energy || a.best_spins != b.best_spins)
+        return report_mismatch(row + " run " + std::to_string(r));
     }
-  });
-  row.optimized_seconds = best_of_three_seconds([&] {
-    // Fresh cache inside the timed region: the first repeat pays the cold
-    // build, so the row reports honest end-to-end amortization, not a
-    // warmed-up lower bound.
-    auto cached_config = config;
-    cached_config.array_cache = std::make_shared<crossbar::ArrayCache>();
-    double objective = 0.0;
-    for (std::size_t repeat = 0; repeat < repeats; ++repeat) {
-      const core::InSituCimAnnealer annealer(instance.model, cached_config);
-      const auto result = core::run_campaign(annealer, instance, campaign);
-      objective += result.objective.mean();
-    }
-    // Shared arrays must not perturb results (PERF.md invariants 1-2).
-    if (objective != objective_uncached)
-      report_mismatch("cached batch determinism");
-  });
+  }
+}
 
+/// Times both sides best-of-three, checks them against each other and
+/// prints the row.
+CampaignRow run_campaign_row(std::size_t n, const CampaignSpec& spec) {
+  CampaignRow row{n, spec.kind, spec.runs, spec.iterations,
+                  util::worker_threads(), spec.workers};
+  CampaignResults reference;
+  CampaignResults optimized;
+  row.legacy_seconds =
+      best_of_three_seconds([&] { reference = spec.reference(); });
+  row.optimized_seconds =
+      best_of_three_seconds([&] { optimized = spec.optimized(); });
+  check_campaign(spec, reference, optimized);
   row.speedup = row.legacy_seconds / row.optimized_seconds;
+  std::printf(
+      "campaign n=%zu %s runs=%zu iters=%zu threads=%zu workers=%zu: "
+      "optimized %.3fs, %s %.3fs, speedup %.2fx\n",
+      row.n, row.kind.c_str(), row.runs, row.iterations, row.threads,
+      row.workers, row.optimized_seconds, spec.reference_label,
+      row.legacy_seconds, row.speedup);
   return row;
 }
 
 // ---------------------------------------------------------------------------
 
-void write_json(const std::string& path, const std::string& mode,
-                const SamplerRow& sampler, const IngestionRow& ingestion,
+/// Returns false (after saying why) when the file cannot be opened, written
+/// or closed, so a lost result fails the bench instead of passing silently.
+bool write_json(const std::string& path, const std::string& mode,
+                const SamplerRow& sampler,
                 const std::vector<EngineRow>& engines,
                 const std::vector<CampaignRow>& campaigns) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
-    std::printf("cannot write %s\n", path.c_str());
-    return;
+    std::fprintf(stderr, "bench_hotpath: cannot open %s\n", path.c_str());
+    return false;
   }
-  std::fprintf(f, "{\n  \"schema\": \"fecim-bench-hotpath-v8\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"fecim-bench-hotpath-v9\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", mode.c_str());
   std::fprintf(f, "  \"hardware_threads\": %zu,\n", util::worker_threads());
   std::fprintf(f,
@@ -800,15 +633,6 @@ void write_json(const std::string& path, const std::string& mode,
                "\"normals_per_sec_box_muller\": %.1f, \"speedup\": %.2f},\n",
                sampler.ziggurat_per_sec, sampler.box_muller_per_sec,
                sampler.speedup);
-  // Tracked for the perf trajectory, never gated (see tools/bench_gate.py).
-  std::fprintf(f,
-               "  \"ingestion\": {\"n\": %zu, \"edges\": %zu, "
-               "\"parse_seconds\": %.6f, \"program_seconds\": %.6f, "
-               "\"program_seconds_cached\": %.9f, "
-               "\"edges_per_sec_parse\": %.1f},\n",
-               ingestion.n, ingestion.edges, ingestion.parse_seconds,
-               ingestion.program_seconds, ingestion.program_seconds_cached,
-               ingestion.edges_per_sec_parse);
   std::fprintf(f, "  \"engine_eval\": [\n");
   for (std::size_t i = 0; i < engines.size(); ++i) {
     const auto& row = engines[i];
@@ -838,8 +662,13 @@ void write_json(const std::string& path, const std::string& mode,
                  i + 1 < campaigns.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  const bool written = std::ferror(f) == 0;
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "bench_hotpath: error writing %s\n", path.c_str());
+    return false;
+  }
   std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace
@@ -861,18 +690,6 @@ int main() {
       "normal sampler: ziggurat %.1f M/s vs Box-Muller %.1f M/s (%.2fx)\n",
       sampler.ziggurat_per_sec / 1e6, sampler.box_muller_per_sec / 1e6,
       sampler.speedup);
-
-  // Gset-scale ingestion: 20k edges in the tracked modes (the size class
-  // the acceptance criterion names), a smaller slice for smoke runs.
-  const IngestionRow ingestion =
-      smoke ? bench_ingestion(800, 12.0) : bench_ingestion(2000, 20.0);
-  std::printf(
-      "ingestion: n=%zu m=%zu parse %.3fs (%.0f edges/s), program %.3fs, "
-      "cached reprogram %.6fs (%.0fx)\n",
-      ingestion.n, ingestion.edges, ingestion.parse_seconds,
-      ingestion.edges_per_sec_parse, ingestion.program_seconds,
-      ingestion.program_seconds_cached,
-      ingestion.program_seconds / ingestion.program_seconds_cached);
 
   util::Table table({"n", "engine", "opt evals/s", "ref evals/s", "speedup"});
   std::vector<EngineRow> engines;
@@ -910,52 +727,25 @@ int main() {
     // sit clear of timer noise.
     const std::size_t runs = full ? 64 : 16;
     const std::size_t iterations = full ? 20000 : 5000;
-    for (const auto n : campaign_sizes) {
-      campaigns.push_back(bench_campaign(n, runs, iterations));
-      campaigns.push_back(bench_noisy_campaign(n, runs, iterations / 4));
-      campaigns.push_back(bench_lifecycle_campaign(n, runs, iterations));
-      // Duplicate-heavy batch amortization: 6 repeats of a short campaign
-      // on one instance, shared cache vs per-construction programming.
-      campaigns.push_back(
-          bench_cached_batch_campaign(n, 6, 4, iterations / 4));
-      // SB dynamics on the same array class (schema v7): tracked campaign
-      // wall-clock plus a hard replica-determinism assertion per run.
-      campaigns.push_back(bench_sb_campaign(n, runs, iterations));
-      // Multi-process sharding (schema v8): the noisy campaign across two
-      // forked workers, with a process-topology determinism assertion.
-      // Platforms without fork simply do not emit the row.
-      if (core::shard_runner_supported())
-        campaigns.push_back(bench_sharded_campaign(n, runs, iterations / 4));
-    }
-    for (const auto& row : campaigns) {
-      const char* reference_label = "legacy";
-      if (row.kind == "analog-noisy") reference_label = "serial";
-      if (row.kind == "sb-ballistic") reference_label = "serial";
-      if (row.kind == "analog-lifecycle") reference_label = "no-token";
-      if (row.kind == "analog-batch-cached") reference_label = "uncached";
-      if (row.kind == "analog-noisy-sharded") reference_label = "in-process";
-      std::printf(
-          "campaign n=%zu %s runs=%zu iters=%zu threads=%zu workers=%zu: "
-          "optimized %.3fs, %s %.3fs, speedup %.2fx\n",
-          row.n, row.kind.c_str(), row.runs, row.iterations, row.threads,
-          row.workers, row.optimized_seconds, reference_label,
-          row.legacy_seconds, row.speedup);
-    }
+    for (const auto n : campaign_sizes)
+      for (const auto& spec : campaign_specs(n, runs, iterations))
+        campaigns.push_back(run_campaign_row(n, spec));
   }
 
   // Smoke runs never overwrite the tracked baseline, but an explicit
   // FECIM_BENCH_OUT still captures their numbers (tools/check.sh compares
   // the smoke speedups against BENCH_hotpath.json to gate regressions).
   const char* out = std::getenv("FECIM_BENCH_OUT");
+  bool written = true;
   if (!smoke || out != nullptr) {
-    write_json(out != nullptr ? out : "BENCH_hotpath.json",
-               smoke ? "smoke" : (full ? "full" : "reduced"), sampler,
-               ingestion, engines, campaigns);
+    written = write_json(out != nullptr ? out : "BENCH_hotpath.json",
+                         smoke ? "smoke" : (full ? "full" : "reduced"),
+                         sampler, engines, campaigns);
   }
   if (g_mismatches > 0) {
     std::fprintf(stderr, "bench_hotpath: %zu check(s) failed\n",
                  g_mismatches);
     return 1;
   }
-  return 0;
+  return written ? 0 : 1;
 }

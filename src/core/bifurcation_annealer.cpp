@@ -11,6 +11,10 @@ namespace fecim::core {
 
 namespace {
 
+/// Initial momentum amplitude: y_i ~ U(-kMomentumInit, kMomentumInit)
+/// breaks the x = y = 0 fixed point symmetrically.
+constexpr double kMomentumInit = 0.01;
+
 /// Standard SB coupling normalization c0 = 0.5 / (sigma * sqrt(n)) with
 /// sigma the rms off-diagonal coupling.  J stores both triangles, so the
 /// stored entries are exactly the n(n-1) ordered off-diagonal pairs.
@@ -39,7 +43,6 @@ BifurcationAnnealer::BifurcationAnnealer(
   FECIM_EXPECTS(!model_->has_fields());  // fold fields via with_ancilla()
   FECIM_EXPECTS(model_->num_flippable() >= 1);
   FECIM_EXPECTS(config_.c0 >= 0.0);
-  FECIM_EXPECTS(config_.momentum_init >= 0.0);
   c0_ = config_.c0 > 0.0 ? config_.c0 : calibrate_c0(*model_);
 }
 
@@ -79,7 +82,7 @@ AnnealResult BifurcationAnnealer::run(std::uint64_t seed,
   for (std::size_t i = 0; i < n; ++i)
     x[i] = 0.5 * static_cast<double>(spins[i]);
   for (std::size_t i = 0; i < flippable; ++i)
-    y[i] = config_.momentum_init * (2.0 * rng.uniform01() - 1.0);
+    y[i] = kMomentumInit * (2.0 * rng.uniform01() - 1.0);
   if (model_->has_ancilla()) {
     // The ancilla oscillator is clamped at +1 so field extraction sees the
     // folded linear terms at full strength.

@@ -50,9 +50,6 @@ struct SbConfig {
   /// sigma the rms coupling value (the standard SB normalization, keeping
   /// the coupling force comparable to the confining force at bifurcation).
   double c0 = 0.0;
-  /// Initial momentum amplitude: y_i ~ U(-momentum_init, momentum_init)
-  /// breaks the x = y = 0 fixed point symmetrically.
-  double momentum_init = 0.01;
 
   crossbar::MappingConfig mapping{};
   crossbar::TileShape tiles{};
@@ -66,7 +63,6 @@ struct SbConfig {
   device::DgFefetParams device{};
   device::VariationParams variation{};
   crossbar::AnalogEngineConfig analog{};
-  std::uint64_t array_seed = 0x5eed;  ///< programming-time variation stream
   /// Digest-keyed programmed-array sharing (see InSituConfig::array_cache).
   std::shared_ptr<crossbar::ArrayCache> array_cache;
 

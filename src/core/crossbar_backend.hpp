@@ -17,6 +17,10 @@
 
 namespace fecim::core {
 
+/// Seed of the programming-time variation stream every annealer's array is
+/// programmed with.
+inline constexpr std::uint64_t kArraySeed = 0x5eed;
+
 struct CrossbarBackend {
   crossbar::CrossbarMapping mapping;
   /// Programmed array and engine prototype; both empty for the ideal engine.
@@ -44,10 +48,10 @@ CrossbarBackend build_crossbar_backend(const ising::IsingModel& model,
       config.array_cache
           ? config.array_cache->get_or_build(
                 quantized, backend.mapping, config.device, config.variation,
-                config.array_seed, config.tiles)
+                kArraySeed, config.tiles)
           : std::make_shared<const crossbar::ProgrammedArray>(
                 quantized, backend.mapping, config.device, config.variation,
-                config.array_seed, config.tiles);
+                kArraySeed, config.tiles);
   backend.prototype.emplace(backend.array, config.analog);
   return backend;
 }

@@ -36,9 +36,7 @@ struct InSituConfig {
   ///    essential for domain-wall migration on grid-like instances; on
   ///    high-girth random graphs it behaves like independent picks.
   ///  * kRandom: t uniform distinct spins.
-  ///  * kSweep: consecutive index windows (a counter in hardware);
-  ///    guarantees full coverage every n/t iterations.
-  enum class FlipSelection { kCluster, kRandom, kSweep };
+  enum class FlipSelection { kCluster, kRandom };
   FlipSelection flip_selection = FlipSelection::kCluster;
   /// kCluster: probability that the next flip candidate is a neighbor of
   /// the previous one (otherwise a uniform pick).  Strictly less than 1 so
@@ -71,7 +69,6 @@ struct InSituConfig {
   device::DgFefetParams device{};
   device::VariationParams variation{};
   crossbar::AnalogEngineConfig analog{};
-  std::uint64_t array_seed = 0x5eed;  ///< programming-time variation stream
   /// Digest-keyed programmed-array cache (crossbar/array_cache.hpp).  When
   /// set, the analog annealer obtains its array via
   /// ArrayCache::get_or_build() -- identical inputs across annealers (batch

@@ -9,12 +9,15 @@ namespace fecim::crossbar {
 
 namespace {
 
+/// ADC full scale in full-drive cell currents at V_BG max.
+constexpr double kFullScaleCells = 64.0;
+
 circuit::SarAdcParams resolve_adc_params(const AnalogEngineConfig& config,
                                          const ProgrammedArray& array) {
   circuit::SarAdcParams params = config.adc;
   const double i_on_max =
       array.on_current(array.device_params().vbg_max);
-  params.full_scale_current = i_on_max * config.full_scale_cells;
+  params.full_scale_current = i_on_max * kFullScaleCells;
   return params;
 }
 

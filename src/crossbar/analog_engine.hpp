@@ -51,10 +51,7 @@
 namespace fecim::crossbar {
 
 struct AnalogEngineConfig {
-  circuit::SarAdcParams adc{};
-  /// ADC full scale expressed in full-drive cell currents at V_BG max; the
-  /// absolute full_scale_current is derived at construction.
-  double full_scale_cells = 64.0;
+  circuit::SarAdcParams adc{};  ///< full_scale_current derived at construction
   bool model_ir_drop = true;
   circuit::WireTech wire{};
 };

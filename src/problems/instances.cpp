@@ -47,6 +47,23 @@ ising::QuboModel negated_qubo(const ising::QuboModel& model) {
   return ising::QuboModel(builder.build(), -model.constant());
 }
 
+/// Every factory's last step: input magnitudes that overflow double
+/// precision (1e308 weights, a city at x = 1e200) leave infinite or NaN
+/// couplings or reference objectives, which would otherwise surface as an
+/// opaque invariant failure deep in the quantizer or the runner.  An
+/// explicit throw, not FECIM_EXPECTS: this is input validation, and the
+/// release-fast preset compiles contracts out.
+void require_finite(const core::ProblemInstance& problem) {
+  bool finite = std::isfinite(problem.reference_objective);
+  const auto& j = problem.model->couplings();
+  for (std::size_t r = 0; finite && r < j.rows(); ++r)
+    for (const double v : j.row_values(r)) finite = finite && std::isfinite(v);
+  if (!finite)
+    throw contract_error(problem.family + " instance '" + problem.name +
+                         "': input magnitudes overflow to non-finite "
+                         "couplings or reference objective");
+}
+
 }  // namespace
 
 core::ProblemInstance make_maxcut_problem(std::string name, Graph graph,
@@ -76,6 +93,7 @@ core::ProblemInstance make_maxcut_problem(std::string name, Graph graph,
   problem.warm_start = [shared_graph] {
     return greedy_maxcut_spins(*shared_graph);
   };
+  require_finite(problem);
   return problem;
 }
 
@@ -128,6 +146,7 @@ core::ProblemInstance make_coloring_problem(std::string name, Graph graph,
   problem.warm_start = [shared_graph, encoding] {
     return dsatur_coloring_spins(*shared_graph, encoding->num_colors);
   };
+  require_finite(problem);
   return problem;
 }
 
@@ -175,6 +194,7 @@ core::ProblemInstance make_knapsack_problem(std::string name,
   problem.warm_start = [shared_instance, encoding] {
     return greedy_knapsack_spins(*shared_instance, *encoding);
   };
+  require_finite(problem);
   return problem;
 }
 
@@ -203,6 +223,7 @@ core::ProblemInstance make_partition_problem(std::string name,
   problem.warm_start = [shared_numbers] {
     return differencing_partition_spins(*shared_numbers);
   };
+  require_finite(problem);
   return problem;
 }
 
@@ -239,6 +260,7 @@ core::ProblemInstance make_tsp_problem(std::string name, TspInstance instance,
   problem.warm_start = [shared_instance] {
     return nearest_neighbor_tsp_spins(*shared_instance);
   };
+  require_finite(problem);
   return problem;
 }
 
@@ -278,6 +300,7 @@ core::ProblemInstance make_qubo_problem(std::string name,
     return solution;
   };
   problem.warm_start = [annealed] { return descent_qubo_spins(*annealed); };
+  require_finite(problem);
   return problem;
 }
 

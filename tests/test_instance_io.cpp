@@ -738,4 +738,42 @@ TEST(QuboProblem, FactoryDecodesAndKeepsSense) {
   EXPECT_DOUBLE_EQ(solution.objective, instance.model.value(zeros));
 }
 
+// ---------------------------------------------------------------------------
+// Finite but huge inputs: the factories reject encodings that overflow to
+// non-finite couplings or references, naming the instance, instead of
+// letting them reach the quantizer or the runner.
+// ---------------------------------------------------------------------------
+
+TEST(NonFiniteEncoding, KnapsackHugeValuesNameTheInstance) {
+  const auto diagnostic = diagnostic_of([] {
+    const std::string_view file = "2 10\n1e308 3\n1e308 4\n";
+    make_knapsack_problem("kp-huge", read_knapsack(file));
+  });
+  EXPECT_NE(diagnostic.find("kp-huge"), std::string::npos) << diagnostic;
+}
+
+TEST(NonFiniteEncoding, PartitionHugeNumbersNameTheInstance) {
+  const auto diagnostic = diagnostic_of([] {
+    const std::string_view file = "1e308 1e308 1e308\n";
+    make_partition_problem("part-huge", read_partition(file));
+  });
+  EXPECT_NE(diagnostic.find("part-huge"), std::string::npos) << diagnostic;
+}
+
+TEST(NonFiniteEncoding, TspFarCityNamesTheInstance) {
+  const auto diagnostic = diagnostic_of([] {
+    const std::string_view file = "3\n0 0\n1e200 0\n0 1\n";
+    make_tsp_problem("tsp-far", read_tsp_coords(file));
+  });
+  EXPECT_NE(diagnostic.find("tsp-far"), std::string::npos) << diagnostic;
+}
+
+TEST(NonFiniteEncoding, MaxcutHugeWeightsNameTheInstance) {
+  const auto diagnostic = diagnostic_of([] {
+    std::istringstream in("3 3\n1 2 1e308\n2 3 1e308\n1 3 -1e308\n");
+    make_maxcut_problem("maxcut-huge", read_gset(in));
+  });
+  EXPECT_NE(diagnostic.find("maxcut-huge"), std::string::npos) << diagnostic;
+}
+
 }  // namespace

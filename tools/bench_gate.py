@@ -3,34 +3,21 @@
 
 Usage: bench_gate.py BASELINE_JSON SMOKE_JSON
 
-Compares every (n, engine) row the two files share, the sampler entry, and
-the (n, kind) campaign rows (bench_hotpath emits its n=256 campaign rows in
-every mode precisely so the smoke run has baseline rows to land on).  The
-"analog-noisy" campaign rows track threads-scaling, a host property: they
-gate only when smoke and baseline record the same hardware_threads, and are
-printed as tracked-not-gated when the hosts differ.  The "analog-noisy-tiled" engine rows
-(schema v5: the noisy sweep over a 4-tile row grid with per-tile ADC
-conversions and digital partial-sum accumulation) gate exactly like the
-other engine rows -- the smoke run emits its n=256 tiled row so the tiled
-hot path is regression-gated alongside the monolithic one.  The
-"ingestion" entry (Gset-scale parse + program, new in schema v4) is
-tracked for the perf trajectory but never gated: smoke and baseline run it
-at different instance sizes, so a ratio between them is meaningless.
-Schema v6 adds program_seconds_cached to the ingestion entry (printed as a
-cache-hit amortization factor) and the "analog-batch-cached" campaign kind
-(repeated identical campaigns through one digest-keyed array cache vs
-per-construction programming), which gates like every other campaign row.
-Schema v7 adds the "sb-ballistic" campaign kind (simulated-bifurcation
-dynamics on the same analog array, parallel vs serial replica scaling);
-rows present in the smoke run but absent from the baseline -- the normal
-state right after a schema bump, before the baseline is regenerated -- are
-printed as tracked-not-gated instead of silently skipped.
-Schema v8 adds the "analog-noisy-sharded" campaign kind (the noisy campaign
-across two fork-spawned worker processes vs the in-process pool) plus a
-"workers" topology field on every campaign row.  Sharded speedup mixes fork
-cost with core count -- a host property like replica scaling -- so the kind
-joins the same-host gating set, and tracked rows print their worker
-topology (workers x threads) so cross-host trajectories stay interpretable.
+Rows compared (bench_hotpath emits its n=256 rows in every mode precisely so
+the smoke run has baseline rows to land on):
+
+  * engine_eval rows, keyed (n, engine), and the sampler entry -- always
+    gated;
+  * campaign rows, keyed (n, kind) -- gated, except the kinds whose speedup
+    is a host property rather than a property of the code: replica scaling
+    ("analog-noisy", "sb-ballistic": threads=N vs threads=1) and process
+    sharding ("analog-noisy-sharded": forked workers vs in-process).  Those
+    gate only when both files record the same hardware_threads and are
+    printed with both worker topologies (workers x threads) otherwise;
+  * a smoke row with no baseline row (the normal state right after a new
+    row lands, before the baseline is regenerated) is printed as tracked,
+    not gated.
+
 A row regresses when BOTH signals drop more than the tolerance below the
 baseline (default 10%, override with FECIM_BENCH_TOLERANCE=0.15 etc.):
 
@@ -42,7 +29,8 @@ baseline (default 10%, override with FECIM_BENCH_TOLERANCE=0.15 etc.):
 
 Requiring both to fall catches real optimized-path regressions (which drag
 both signals down) while tolerating the single-signal noise a seconds-scale
-smoke run on a busy machine produces.  Exit code 1 on any regression.
+smoke run on a busy machine produces.  Exit code 1 on any regression, or
+when no row is comparable.
 """
 import json
 import os
@@ -138,16 +126,6 @@ def main():
         check(f"campaign n={row['n']} {kind}",
               row["speedup"], base["speedup"],
               campaign_throughput(row), campaign_throughput(base))
-
-    if "ingestion" in smoke:
-        row = smoke["ingestion"]
-        cached = row.get("program_seconds_cached", 0.0)
-        cold = row.get("program_seconds", 0.0)
-        hit = (f", cache-hit reprogram {cold / cached:,.0f}x faster"
-               if cached > 0.0 and cold > 0.0 else "")
-        print(f"  ingestion n={row['n']} m={row['edges']}: "
-              f"{fmt(row.get('edges_per_sec_parse', 0.0))} edges/s parse"
-              f"{hit} ... tracked, not gated")
 
     if "sampler" in smoke and "sampler" in baseline:
         check("normal sampler", smoke["sampler"]["speedup"],

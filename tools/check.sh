@@ -4,11 +4,12 @@
 #      benches, examples, tools),
 #   2. run the test suite -- the tier-1 fast loop (ctest -L tier1) by
 #      default, every label (tier1 + differential + slow) under --full,
-#   3. smoke-run the hot-path benchmark and gate its speedups against the
+#   3. smoke-run the hot-path benchmark -- which exits non-zero when any
+#      campaign row's optimized side differs run by run from its reference
+#      or its JSON cannot be written -- and gate its speedups against the
 #      tracked baseline in BENCH_hotpath.json (tools/bench_gate.py; >10%
 #      regressions on both signals fail, FECIM_BENCH_TOLERANCE overrides;
-#      campaign rows and the tiled analog-noisy row are gated alongside the
-#      engine rows),
+#      engine, sampler and campaign rows are gated),
 #   4. smoke-run the quickstart example and fecim_solve on every COP family
 #      (maxcut, coloring, knapsack, partition, tsp, qubo), both generated
 #      and file-backed (examples/data/ fixtures, one per file format,
@@ -114,8 +115,11 @@ fi
 
 # Smoke configuration: smallest size, few iterations; the JSON goes to the
 # build tree (never the tracked baseline) for the regression gate.  A failed
-# determinism check makes bench_hotpath exit non-zero, which stops here.
+# determinism check or JSON write makes bench_hotpath exit non-zero, which
+# stops here; the old JSON is removed first so the gate never reads a stale
+# file.
 smoke_json="build/bench_smoke.json"
+rm -f "${smoke_json}"
 FECIM_BENCH_SMOKE=1 FECIM_BENCH_OUT="${smoke_json}" ./build/bench/bench_hotpath
 
 if command -v python3 >/dev/null 2>&1; then
