@@ -32,7 +32,9 @@ ParasiticEstimate estimate_line_parasitics(std::size_t cells_per_line,
 
 /// First-order worst-case IR attenuation of a current-summing line: every
 /// cell on, uniform per-cell conductance g = i_cell / v_drive, wire segment
-/// resistance r.  Returns sensed/ideal in (0, 1].
+/// resistance r.  Returns sensed/ideal in (0, 1].  Memoized process-wide on
+/// the exact inputs (thread-safe), so every engine and tile plan of a warm
+/// process pays one ladder solve per distinct line height.
 double ir_attenuation_factor(std::size_t cells, double r_segment,
                              double cell_current, double drive_voltage);
 

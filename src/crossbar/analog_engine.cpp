@@ -113,17 +113,10 @@ AnalogCrossbarEngine::AnalogCrossbarEngine(
           .ir_attenuation;
     };
     attenuation_ = solve(array_->mapping().physical_rows());
-    // At most two distinct band heights under the balanced split (full
-    // bands plus one remainder), so at most two extra MNA solves; a
-    // monolithic array reuses the logical attenuation outright.
-    for (std::size_t b = 0; b < bands.size(); ++b) {
-      if (bands[b].rows() == array_->mapping().physical_rows())
-        band_attenuation_[b] = attenuation_;
-      else if (b > 0 && bands[b].rows() == bands[b - 1].rows())
-        band_attenuation_[b] = band_attenuation_[b - 1];
-      else
-        band_attenuation_[b] = solve(bands[b].rows());
-    }
+    // The solve is memoized per ladder height, so bands of equal height
+    // (and a monolithic array's single band) share one MNA solve.
+    for (std::size_t b = 0; b < bands.size(); ++b)
+      band_attenuation_[b] = solve(bands[b].rows());
   }
   noise_ = ReadoutNoise::for_run(0);
   // Per-tile digital calibration factors of the stochastic path (see the

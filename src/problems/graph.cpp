@@ -50,7 +50,7 @@ double Graph::total_abs_weight() const noexcept {
 }
 
 std::size_t Graph::degree(std::uint32_t v) const {
-  ensure_adjacency();
+  build_adjacency();
   FECIM_EXPECTS(v < num_vertices_);
   return adj_ptr_[v + 1] - adj_ptr_[v];
 }
@@ -61,19 +61,19 @@ double Graph::average_degree() const noexcept {
 }
 
 std::span<const std::uint32_t> Graph::neighbors(std::uint32_t v) const {
-  ensure_adjacency();
+  build_adjacency();
   FECIM_EXPECTS(v < num_vertices_);
   return {adj_idx_.data() + adj_ptr_[v], adj_ptr_[v + 1] - adj_ptr_[v]};
 }
 
 std::span<const double> Graph::neighbor_weights(std::uint32_t v) const {
-  ensure_adjacency();
+  build_adjacency();
   FECIM_EXPECTS(v < num_vertices_);
   return {adj_weight_.data() + adj_ptr_[v], adj_ptr_[v + 1] - adj_ptr_[v]};
 }
 
 bool Graph::is_bipartite() const {
-  ensure_adjacency();
+  build_adjacency();
   std::vector<int> color(num_vertices_, -1);
   std::queue<std::uint32_t> frontier;
   for (std::uint32_t start = 0; start < num_vertices_; ++start) {
@@ -96,7 +96,7 @@ bool Graph::is_bipartite() const {
   return true;
 }
 
-void Graph::ensure_adjacency() const {
+void Graph::build_adjacency() const {
   if (adjacency_valid_) return;
   adj_ptr_.assign(num_vertices_ + 1, 0);
   for (const auto& e : edges_) {

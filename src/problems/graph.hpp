@@ -51,9 +51,12 @@ class Graph {
   /// (ignoring weights).  Used to certify toroidal instances' optimal cut.
   bool is_bipartite() const;
 
- private:
-  void ensure_adjacency() const;
+  /// Build the lazy adjacency cache now.  Every adjacency query builds it on
+  /// first use, so a graph shared across threads must call this first or
+  /// the concurrent first calls race on the cache.
+  void build_adjacency() const;
 
+ private:
   static std::uint64_t edge_key(std::uint32_t u, std::uint32_t v) noexcept {
     return (static_cast<std::uint64_t>(u) << 32) | v;
   }

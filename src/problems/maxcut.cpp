@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "problems/multistart.hpp"
 #include "util/assert.hpp"
 
 namespace fecim::problems {
@@ -92,14 +93,15 @@ double reference_cut(const Graph& graph, std::size_t restarts,
     }
   if (all_positive && graph.is_bipartite()) return graph.total_weight();
 
-  FECIM_EXPECTS(restarts > 0);
-  util::Rng rng(seed);
-  double best = 0.0;
-  for (std::size_t r = 0; r < restarts; ++r) {
-    auto spins = ising::random_spins(graph.num_vertices(), rng);
-    best = std::max(best, local_search_1opt(graph, spins));
-  }
-  return best;
+  // The descents share the graph across threads: build its lazy adjacency
+  // first, or concurrent neighbors() calls would race on the cache.
+  graph.build_adjacency();
+  // Floored at 0: the empty cut is always available.
+  return std::max(0.0, best_of_random_restarts(
+                           graph.num_vertices(), restarts, seed, true,
+                           [&](ising::SpinVector& spins) {
+                             return local_search_1opt(graph, spins);
+                           }));
 }
 
 }  // namespace fecim::problems

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "problems/instance_io.hpp"
+#include "problems/multistart.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -136,33 +137,28 @@ QuboInstance random_qubo(std::size_t variables, double avg_degree,
 
 double qubo_reference_value(const ising::QuboModel& model, bool maximize,
                             std::size_t restarts, std::uint64_t seed) {
-  FECIM_EXPECTS(restarts > 0);
   // value(x) == to_ising().energy(spins_from_binary(x)) exactly, so the
   // descent runs on the Ising form's O(degree) delta_energy.
   const auto ising_model = model.to_ising();
   const std::size_t n = ising_model.num_spins();
-  util::Rng rng(seed);
-  double best = maximize ? -std::numeric_limits<double>::infinity()
-                         : std::numeric_limits<double>::infinity();
-  for (std::size_t restart = 0; restart < restarts; ++restart) {
-    auto spins = ising::random_spins(n, rng);
-    double energy = ising_model.energy(spins);
-    bool improved = true;
-    for (std::size_t pass = 0; improved && pass < 200; ++pass) {
-      improved = false;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint32_t flip[1] = {i};
-        const double delta = ising_model.delta_energy(spins, flip);
-        if (maximize ? delta > 1e-12 : delta < -1e-12) {
-          spins[i] = static_cast<ising::Spin>(-spins[i]);
-          energy += delta;
-          improved = true;
+  return best_of_random_restarts(
+      n, restarts, seed, maximize, [&](ising::SpinVector& spins) {
+        double energy = ising_model.energy(spins);
+        bool improved = true;
+        for (std::size_t pass = 0; improved && pass < 200; ++pass) {
+          improved = false;
+          for (std::uint32_t i = 0; i < n; ++i) {
+            const std::uint32_t flip[1] = {i};
+            const double delta = ising_model.delta_energy(spins, flip);
+            if (maximize ? delta > 1e-12 : delta < -1e-12) {
+              spins[i] = static_cast<ising::Spin>(-spins[i]);
+              energy += delta;
+              improved = true;
+            }
+          }
         }
-      }
-    }
-    best = maximize ? std::max(best, energy) : std::min(best, energy);
-  }
-  return best;
+        return energy;
+      });
 }
 
 }  // namespace fecim::problems

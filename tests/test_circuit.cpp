@@ -1,12 +1,16 @@
 // Peripheral circuit models: SAR ADC, BG DAC, line drivers, MUX, parasitics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "circuit/drivers.hpp"
+#include "circuit/mna.hpp"
 #include "circuit/parasitics.hpp"
 #include "circuit/sar_adc.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -113,6 +117,58 @@ TEST(Parasitics, AttenuationInUnitRange) {
 
 TEST(Parasitics, ZeroWireResistanceIsLossless) {
   EXPECT_DOUBLE_EQ(ir_attenuation_factor(100, 0.0, 1e-5, 1.0), 1.0);
+}
+
+TEST(Parasitics, MemoizedAttenuationEqualsDirectLadderSolve) {
+  struct Case {
+    std::size_t cells;
+    double r, i, v;
+  };
+  const Case cases[] = {{64, 1.0, 1e-5, 1.0},
+                        {800, 1.0, 1e-5, 0.1},
+                        {1000, 1.0, 1e-5, 0.1},
+                        {256, 0.5, 3e-6, 0.2}};
+  for (const auto& c : cases) {
+    const std::vector<double> currents(c.cells, c.i);
+    const double direct = std::min(
+        1.0, sense_column_current(currents, c.v, c.r) /
+                 (c.i * static_cast<double>(c.cells)));
+    const double first = ir_attenuation_factor(c.cells, c.r, c.i, c.v);
+    EXPECT_EQ(first, direct) << c.cells;
+    EXPECT_EQ(ir_attenuation_factor(c.cells, c.r, c.i, c.v), first);
+  }
+}
+
+TEST(Parasitics, MemoDoesNotConflateDistinctInputs) {
+  // Same ladder height and current; only the drive voltage or only the
+  // wire resistance differs, so each must be its own solve.
+  const double base = ir_attenuation_factor(512, 1.0, 1e-5, 1.0);
+  const double low_drive = ir_attenuation_factor(512, 1.0, 1e-5, 0.25);
+  const double high_r = ir_attenuation_factor(512, 2.0, 1e-5, 1.0);
+  EXPECT_NE(base, low_drive);
+  EXPECT_NE(base, high_r);
+  EXPECT_EQ(ir_attenuation_factor(512, 1.0, 1e-5, 0.25), low_drive);
+  EXPECT_EQ(ir_attenuation_factor(512, 2.0, 1e-5, 1.0), high_r);
+  EXPECT_EQ(ir_attenuation_factor(512, 0.0, 1e-5, 1.0), 1.0);
+}
+
+TEST(Parasitics, ConcurrentMemoCallsAgreeWithSerial) {
+  // Pool tasks hit the memo concurrently on shared and fresh keys.
+  const std::size_t heights[] = {96, 160, 224};
+  double serial[3];
+  for (std::size_t k = 0; k < 3; ++k)
+    serial[k] = ir_attenuation_factor(heights[k], 1.5, 2e-5, 0.5);
+  std::vector<double> pooled(12, 0.0);
+  fecim::util::parallel_for(
+      pooled.size(),
+      [&](std::size_t t) {
+        pooled[t] = ir_attenuation_factor(heights[t % 3], 1.5, 2e-5, 0.5);
+        // Fresh keys make the tasks insert concurrently.
+        ir_attenuation_factor(300 + t, 1.5, 2e-5, 0.5);
+      },
+      4);
+  for (std::size_t t = 0; t < pooled.size(); ++t)
+    EXPECT_EQ(pooled[t], serial[t % 3]) << t;
 }
 
 TEST(Parasitics, AttenuationWorsensWithCurrentDensity) {

@@ -16,6 +16,7 @@
 #include "problems/instances.hpp"
 #include "problems/qubo.hpp"
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -508,6 +509,24 @@ TEST(QuboIo, ReferenceValueBracketsTheOptimum) {
   const double reference = qubo_reference_value(model, false, 32, 7);
   EXPECT_GE(reference, ground - 1e-9);
   EXPECT_LE(reference, -3.0 + 1e-9);
+}
+
+TEST(QuboIo, ReferenceValueIsIdenticalOnPoolNestedAndSerial) {
+  const auto instance = random_qubo(96, 6.0, 23);
+  // The serial restart loop's values before the restarts were fanned out.
+  constexpr double kSerialMin = -0x1.9fb7a1e290d97p+5;  // -51.9646642399268
+  constexpr double kSerialMax = 0x1.5ad9fecc3101cp+5;   // 43.3564430191475
+  EXPECT_EQ(qubo_reference_value(instance.model, false, 12, 5), kSerialMin);
+  EXPECT_EQ(qubo_reference_value(instance.model, true, 12, 5), kSerialMax);
+  double nested[2] = {0.0, 0.0};
+  fecim::util::parallel_for(
+      2,
+      [&](std::size_t i) {
+        nested[i] = qubo_reference_value(instance.model, i == 1, 12, 5);
+      },
+      2);
+  EXPECT_EQ(nested[0], kSerialMin);
+  EXPECT_EQ(nested[1], kSerialMax);
 }
 
 TEST(QuboIo, RandomQuboIsSeedDeterministic) {

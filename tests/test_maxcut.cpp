@@ -5,6 +5,7 @@
 
 #include "problems/generators.hpp"
 #include "problems/maxcut.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -107,6 +108,28 @@ TEST(MaxCut, ReferenceCutBoundsBruteForce) {
   const double reference = reference_cut(g, 40, 21);
   EXPECT_LE(reference, exact.cut + 1e-9);
   EXPECT_GE(reference, 0.9 * exact.cut);  // 40 restarts on 14 nodes: tight
+}
+
+TEST(MaxCut, ReferenceCutIsIdenticalOnPoolNestedAndSerial) {
+  // Signed real weights: all_positive is false, so is_bipartite() never
+  // pre-builds the adjacency and reference_cut must build it itself before
+  // fanning the restarts out.
+  Graph g(120);
+  fecim::util::Rng rng(17);
+  for (int k = 0; k < 480; ++k) {
+    const auto u = static_cast<std::uint32_t>(rng.uniform_index(120));
+    const auto v = static_cast<std::uint32_t>(rng.uniform_index(120));
+    if (u != v) g.add_edge(u, v, rng.uniform(-1.0, 1.0));
+  }
+  const double pooled = reference_cut(g, 16, 99);
+  double nested[2] = {0.0, 0.0};
+  fecim::util::parallel_for(
+      2, [&](std::size_t i) { nested[i] = reference_cut(g, 16, 99); }, 2);
+  // The serial restart loop's value before the restarts were fanned out.
+  constexpr double kSerial = 0x1.1462b38df3bacp+6;  // 69.0963880710612
+  EXPECT_EQ(pooled, kSerial);
+  EXPECT_EQ(nested[0], kSerial);
+  EXPECT_EQ(nested[1], kSerial);
 }
 
 TEST(MaxCut, IsingModelHasHalfWeightCouplings) {

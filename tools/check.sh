@@ -37,7 +37,9 @@
 # tails, empty files, files without a trailing newline).
 #
 # Under --tsan the threaded suites (thread pool, campaigns, shared array
-# cache, runner) run ThreadSanitizer-instrumented.
+# cache, runner, and the set-up paths that run on the pool: the Max-Cut
+# reference restarts and the memoized IR-drop solve) run
+# ThreadSanitizer-instrumented.
 #
 # Usage: tools/check.sh [--full] [--full-bench] [--sanitize] [--tsan]
 #   --full         run the complete ctest suite (every label) instead of
@@ -88,7 +90,8 @@ fi
 
 if [[ "${tsan}" == 1 ]]; then
   cmake --preset tsan
-  threaded_suites=(test_util test_campaign test_array_cache test_runner)
+  threaded_suites=(test_util test_campaign test_array_cache test_runner
+                   test_maxcut test_circuit)
   cmake --build build-tsan -j"$(nproc)" --target "${threaded_suites[@]}"
   # Anchored: an unanchored test_runner would also match test_shard_runner.
   ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
