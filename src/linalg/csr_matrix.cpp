@@ -52,12 +52,19 @@ double CsrMatrix::vmv(std::span<const double> x, std::span<const double> y) cons
 
 bool CsrMatrix::is_symmetric(double tol) const {
   if (rows() != cols_) return false;
+  // Visiting rows in ascending order asks row c for its mirrors A(c, r) with
+  // r nondecreasing, so one forward cursor per row merges the transpose
+  // against the matrix: every cursor advances at most its row's length.
+  std::vector<std::size_t> cursor(row_ptr_.begin(),
+                                  row_ptr_.begin() + rows());
   for (std::size_t r = 0; r < rows(); ++r) {
-    const auto cols = row_cols(r);
-    const auto vals = row_values(r);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      const double mirror = at(cols[k], r);
-      if (std::fabs(mirror - vals[k]) > tol) return false;
+    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const std::size_t c = col_idx_[k];
+      std::size_t& t = cursor[c];
+      while (t < row_ptr_[c + 1] && col_idx_[t] < r) ++t;
+      const double mirror =
+          t < row_ptr_[c + 1] && col_idx_[t] == r ? values_[t] : 0.0;
+      if (std::fabs(mirror - values_[k]) > tol) return false;
     }
   }
   return true;
@@ -92,16 +99,28 @@ void CsrMatrix::Builder::add_symmetric(std::size_t r, std::size_t c,
 }
 
 CsrMatrix CsrMatrix::Builder::build() {
-  std::sort(triplets_.begin(), triplets_.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
+  // Two stable counting passes -- by column, then by row -- order the
+  // triplets by (row, col) and keep duplicates of one coordinate in
+  // insertion order, in O(nnz + rows + cols).
+  const auto counting_pass = [](const std::vector<Triplet>& in,
+                                std::vector<Triplet>& out, std::size_t keys,
+                                auto key) {
+    std::vector<std::size_t> start(keys + 1, 0);
+    for (const auto& t : in) ++start[std::size_t{key(t)} + 1];
+    for (std::size_t k = 0; k < keys; ++k) start[k + 1] += start[k];
+    for (const auto& t : in) out[start[key(t)]++] = t;
+  };
+  {
+    std::vector<Triplet> by_col(triplets_.size());
+    counting_pass(triplets_, by_col, cols_,
+                  [](const Triplet& t) { return t.col; });
+    counting_pass(by_col, triplets_, rows_,
+                  [](const Triplet& t) { return t.row; });
+  }
 
-  CsrMatrix m;
-  m.cols_ = cols_;
-  m.row_ptr_.assign(rows_ + 1, 0);
-
-  // Merge duplicate coordinates by summation while copying out.
+  // Merge duplicate coordinates by summation, in insertion order, dropping
+  // exact zeros; compacting in place lets the CSR arrays be sized once.
+  std::size_t merged = 0;
   std::size_t i = 0;
   while (i < triplets_.size()) {
     const std::uint32_t row = triplets_[i].row;
@@ -112,11 +131,19 @@ CsrMatrix CsrMatrix::Builder::build() {
       sum += triplets_[i].value;
       ++i;
     }
-    if (sum != 0.0) {
-      m.col_idx_.push_back(col);
-      m.values_.push_back(sum);
-      ++m.row_ptr_[row + 1];
-    }
+    if (sum != 0.0) triplets_[merged++] = {row, col, sum};
+  }
+  triplets_.resize(merged);
+
+  CsrMatrix m;
+  m.cols_ = cols_;
+  m.row_ptr_.assign(rows_ + 1, 0);
+  m.col_idx_.resize(merged);
+  m.values_.resize(merged);
+  for (std::size_t k = 0; k < merged; ++k) {
+    m.col_idx_[k] = triplets_[k].col;
+    m.values_[k] = triplets_[k].value;
+    ++m.row_ptr_[triplets_[k].row + 1];
   }
   for (std::size_t r = 0; r < rows_; ++r) m.row_ptr_[r + 1] += m.row_ptr_[r];
   FECIM_ENSURES(m.row_ptr_.back() == m.values_.size());

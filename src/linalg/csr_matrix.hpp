@@ -3,7 +3,10 @@
 // Gset-class Max-Cut instances are sparse (average degree ~4-50), so the
 // annealer's inner loops run over CSR rows.  The builder accepts arbitrary
 // (row, col, value) triplets, merges duplicates by summation, and can
-// symmetrize on demand.
+// symmetrize on demand.  Assembly is linear in the input: build() orders
+// the triplets with two stable counting passes, O(nnz + rows + cols), and
+// sums the duplicates of one coordinate in insertion order, so a matrix is
+// a pure function of the add() sequence.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +46,9 @@ class CsrMatrix {
   /// xᵀ A y.
   double vmv(std::span<const double> x, std::span<const double> y) const;
 
-  /// True when the sparsity pattern and values are symmetric within tol.
+  /// True when the matrix is square and every entry's mirror (0 when
+  /// absent) satisfies |mirror - value| <= tol.  O(nnz + rows): the
+  /// mirrors are found by one forward merge per row, not a search each.
   bool is_symmetric(double tol = 0.0) const;
 
   /// Largest |value|; 0 for an empty matrix.
@@ -55,11 +60,13 @@ class CsrMatrix {
    public:
     Builder(std::size_t rows, std::size_t cols) : rows_(rows), cols_(cols) {}
 
-    /// Accumulate value at (r, c); duplicates sum.
+    /// Accumulate value at (r, c); duplicates sum in insertion order.
     void add(std::size_t r, std::size_t c, double value);
     /// Accumulate value at (r, c) and (c, r).
     void add_symmetric(std::size_t r, std::size_t c, double value);
 
+    /// Entries summing to exactly 0 are dropped; every row comes out
+    /// column-sorted.
     CsrMatrix build();
 
    private:

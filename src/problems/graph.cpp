@@ -12,7 +12,7 @@ Graph::Graph(std::size_t num_vertices) : num_vertices_(num_vertices) {
   FECIM_EXPECTS(num_vertices > 0);
 }
 
-void Graph::add_edge(std::uint32_t u, std::uint32_t v, double weight) {
+double Graph::add_edge(std::uint32_t u, std::uint32_t v, double weight) {
   FECIM_EXPECTS(u < num_vertices_ && v < num_vertices_);
   FECIM_EXPECTS(u != v);
   if (u > v) std::swap(u, v);
@@ -24,6 +24,12 @@ void Graph::add_edge(std::uint32_t u, std::uint32_t v, double weight) {
   else
     edges_[it->second].weight += weight;
   adjacency_valid_ = false;
+  return edges_[it->second].weight;
+}
+
+void Graph::reserve(std::size_t edges) {
+  edges_.reserve(edges);
+  edge_slot_.reserve(edges);
 }
 
 bool Graph::has_edge(std::uint32_t u, std::uint32_t v) const {

@@ -30,7 +30,12 @@ class Graph {
   std::span<const Edge> edges() const noexcept { return edges_; }
 
   /// Add (or accumulate onto) the undirected edge {u, v}.  u != v.
-  void add_edge(std::uint32_t u, std::uint32_t v, double weight = 1.0);
+  /// Returns the edge's accumulated weight.
+  double add_edge(std::uint32_t u, std::uint32_t v, double weight = 1.0);
+
+  /// Reserve room for `edges` distinct edges (a loader's header count), so
+  /// the edge list and its hash index grow without rehashing.
+  void reserve(std::size_t edges);
 
   bool has_edge(std::uint32_t u, std::uint32_t v) const;
   double edge_weight(std::uint32_t u, std::uint32_t v) const;

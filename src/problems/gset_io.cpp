@@ -1,5 +1,7 @@
 #include "problems/gset_io.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <ostream>
@@ -22,6 +24,10 @@ Graph read_gset_impl(Source&& in, const std::string& context) {
   if (n == 0) parser.fail("graph must have at least one vertex");
 
   Graph graph(n);
+  // An edge line takes at least 4 bytes ("1 2\n"; the last may lack its
+  // newline), so a header cannot reserve more than the input could hold.
+  // Stream sources report no size and skip the reservation.
+  graph.reserve(std::min(m, (parser.remaining_bytes() + 1) / 4));
   for (std::size_t k = 0; k < m; ++k) {
     if (!parser.next())
       parser.fail_truncated(std::to_string(m) + " edges, got " +
@@ -33,8 +39,11 @@ Graph read_gset_impl(Source&& in, const std::string& context) {
     if (u < 1 || u > n || v < 1 || v > n)
       parser.fail("vertex index out of range [1, " + std::to_string(n) + "]");
     if (u == v) parser.fail("self-loop on vertex " + std::to_string(u));
-    graph.add_edge(static_cast<std::uint32_t>(u - 1),
-                   static_cast<std::uint32_t>(v - 1), w);
+    const double total = graph.add_edge(static_cast<std::uint32_t>(u - 1),
+                                        static_cast<std::uint32_t>(v - 1), w);
+    if (!std::isfinite(total))
+      parser.fail("parallel edges " + std::to_string(u) + "-" +
+                  std::to_string(v) + " sum to a non-finite weight");
   }
   if (parser.next())
     parser.fail("trailing content after " + std::to_string(m) + " edges");

@@ -7,7 +7,10 @@
 // runs on the shared ingestion core (problems/instance_io.hpp): malformed
 // headers, out-of-range or self-loop edges, and truncated edge lists all
 // raise fecim::contract_error naming the offending line.  Parallel edges
-// merge by weight summation (O(1) per edge via the graph's edge index).
+// merge by weight summation (O(1) per edge via the graph's edge index); a
+// merge that overflows to a non-finite weight fails on the line that
+// overflowed it.  Reading is linear in the input: the header's edge count
+// pre-sizes the graph (capped by what the input can hold).
 //
 // write_gset emits weights at max_digits10 precision so a write/read
 // round-trip is bit-lossless.

@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
@@ -103,6 +105,10 @@ bool LineParser::next_raw_line(std::string_view& out) {
   return true;
 }
 
+std::size_t LineParser::remaining_bytes() const noexcept {
+  return in_ != nullptr ? 0 : buffer_.size() - buffer_pos_;
+}
+
 bool LineParser::next() {
   std::string_view line;
   while (next_raw_line(line)) {
@@ -137,10 +143,25 @@ std::string_view LineParser::field(std::size_t i) const {
 }
 
 double LineParser::number(std::size_t i) const {
-  // strtod needs a NUL-terminated token; the copy is SSO-small for any
-  // realistic numeral and keeps the historical grammar (leading '+', hex
-  // floats, inf/nan rejected below via isfinite) bit-exact on both sources.
-  const std::string text(field(i));
+  const std::string_view token = field(i);
+  // Fast path for plain integers: an optional '-' and at most 15 digits is
+  // below 2^53, so the conversion is exact -- the value strtod rounds to.
+  const bool negative = !token.empty() && token[0] == '-';
+  const std::string_view digits = token.substr(negative ? 1 : 0);
+  if (!digits.empty() && digits.size() <= 15) {
+    std::uint64_t magnitude = 0;
+    const char* last = digits.data() + digits.size();
+    const auto [end, ec] = std::from_chars(digits.data(), last, magnitude);
+    if (ec == std::errc{} && end == last) {
+      const double value = static_cast<double>(magnitude);
+      return negative ? -value : value;  // "-0" stays -0.0
+    }
+  }
+  // Everything else: strtod needs a NUL-terminated token; the copy is
+  // SSO-small for any realistic numeral and keeps the historical grammar
+  // (leading '+', hex floats, inf/nan rejected below via isfinite)
+  // bit-exact on both sources.
+  const std::string text(token);
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
@@ -151,16 +172,15 @@ double LineParser::number(std::size_t i) const {
 }
 
 std::size_t LineParser::index(std::size_t i) const {
-  const std::string text(field(i));
-  if (text.empty() || text[0] == '-' || text[0] == '+')
-    fail("'" + text + "' is not a non-negative integer");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size() || end == text.c_str() ||
-      errno == ERANGE)
-    fail("'" + text + "' is not a non-negative integer");
-  return static_cast<std::size_t>(value);
+  // from_chars on an unsigned type takes digits only: no sign, no
+  // whitespace, overflow is an error.
+  const std::string_view token = field(i);
+  const char* last = token.data() + token.size();
+  std::size_t value = 0;
+  const auto [end, ec] = std::from_chars(token.data(), last, value);
+  if (ec != std::errc{} || end != last)
+    fail("'" + std::string(token) + "' is not a non-negative integer");
+  return value;
 }
 
 void LineParser::require_fields(std::size_t lo, std::size_t hi) const {

@@ -93,11 +93,18 @@ class LineParser {
   bool next();
 
   std::size_t line_number() const noexcept { return line_number_; }
+  /// Unread bytes of a memory source, a bound on what the remaining lines
+  /// can hold (readers use it to cap header-declared reservations); 0 for a
+  /// stream source, whose length is unknown.
+  std::size_t remaining_bytes() const noexcept;
   std::size_t fields() const noexcept { return fields_.size(); }
   std::string_view field(std::size_t i) const;
 
   /// Typed field accessors; full-token validation (no silent strtod/strtoull
   /// garbage-to-zero), failures name the field text and the line.
+  /// index() takes decimal digits only (std::from_chars); number() parses
+  /// "-"? plus at most 15 digits directly (exact below 2^53) and hands every
+  /// other token to strtod, whose grammar ('+1', hex floats) it keeps.
   double number(std::size_t i) const;
   std::size_t index(std::size_t i) const;
 

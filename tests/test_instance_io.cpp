@@ -4,11 +4,17 @@
 // with its ProblemInstance factory.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "ising/qubo.hpp"
 #include "problems/gset_io.hpp"
@@ -101,6 +107,18 @@ TEST(GsetIoHardened, DuplicateEdgesAccumulate) {
   EXPECT_DOUBLE_EQ(g.edge_weight(0, 1), 4.0);
 }
 
+TEST(GsetIoHardened, NonFiniteParallelEdgeSumNamesTheLine) {
+  // Each weight is finite; their merge is not.  The reader blames the line
+  // that overflowed instead of leaving it to the factory's finiteness check.
+  const std::string text = "3 3\n1 2 1e308\n2 3 1\n2 1 1e308\n";
+  std::istringstream in(text);
+  const auto from_stream = diagnostic_of([&] { read_gset(in); });
+  EXPECT_NE(from_stream.find("gset:4"), std::string::npos) << from_stream;
+  EXPECT_NE(from_stream.find("non-finite"), std::string::npos) << from_stream;
+  EXPECT_EQ(diagnostic_of([&] { read_gset(std::string_view(text)); }),
+            from_stream);
+}
+
 TEST(GsetIoHardened, WriteReadRoundTripIsLossless) {
   // Weights that the old default-precision writer (6 significant digits)
   // silently corrupted.
@@ -137,6 +155,96 @@ TEST(GsetIoHardened, GsetScaleEdgeListLoadsLinearly) {
   double total = 0.0;
   for (const auto& e : g.edges()) total += e.weight;
   EXPECT_DOUBLE_EQ(total, static_cast<double>(m));  // 2m half-weight lines
+}
+
+// ---------------------------------------------------------------------------
+// LineParser typed fields against the strtod/strtoull definitions they
+// replaced: identical bits on success, identical diagnostics on failure.
+// ---------------------------------------------------------------------------
+
+/// Outcome of parsing one token: the value's bits or the diagnostic.
+struct Parsed {
+  bool ok = false;
+  std::uint64_t bits = 0;
+  std::string error;
+  bool operator==(const Parsed&) const = default;
+};
+
+template <typename Fn>
+Parsed parse_with(Fn&& fn) {
+  Parsed out;
+  try {
+    const auto value = fn();
+    out.ok = true;
+    if constexpr (std::is_same_v<decltype(value), const double>)
+      out.bits = std::bit_cast<std::uint64_t>(value);
+    else
+      out.bits = value;
+  } catch (const fecim::contract_error& error) {
+    out.error = error.what();
+  }
+  return out;
+}
+
+Parsed reference_number(const std::string& text) {
+  return parse_with([&] {
+    errno = 0;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size() || end == text.c_str() ||
+        errno == ERANGE || !std::isfinite(value))
+      throw fecim::contract_error("tok:1: '" + text +
+                                  "' is not a finite number");
+    return value;
+  });
+}
+
+Parsed reference_index(const std::string& text) {
+  return parse_with([&]() -> std::size_t {
+    const auto fail = [&] {
+      throw fecim::contract_error("tok:1: '" + text +
+                                  "' is not a non-negative integer");
+    };
+    if (text.empty() || text[0] == '-' || text[0] == '+') fail();
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    if (end != text.c_str() + text.size() || end == text.c_str() ||
+        errno == ERANGE)
+      fail();
+    return value;
+  });
+}
+
+TEST(LineParserFields, MatchStrtodAndStrtoullReferences) {
+  const std::vector<std::string> corpus = {
+      "1",      "-1",   "-0",          "007",          "+1",
+      "0x10",   "1.5",  ".5",          "1e-320",       "1e400",
+      "nan",    "inf",  "-inf",        "123456789012345",
+      "-999999999999999",              "1234567890123456",
+      "9007199254740993",              "18446744073709551615",
+      "18446744073709551616",          "-",            "--1",
+      "1-",     "0",    "1e3",         "1.0"};
+  for (const auto& token : corpus) {
+    const std::string line = "x " + token + "\n";
+    io::LineParser parser(std::string_view(line), "tok");
+    ASSERT_TRUE(parser.next());
+    EXPECT_EQ(parse_with([&] { return parser.number(1); }),
+              reference_number(token))
+        << "number(" << token << ")";
+    EXPECT_EQ(parse_with([&] { return parser.index(1); }),
+              reference_index(token))
+        << "index(" << token << ")";
+  }
+
+  io::LineParser parser(std::string_view("-0 -1 1\n"), "tok");
+  ASSERT_TRUE(parser.next());
+  EXPECT_TRUE(std::signbit(parser.number(0)));
+  EXPECT_EQ(parser.number(1), -1.0);
+  EXPECT_FALSE(std::signbit(parser.number(2)));
+  EXPECT_NE(diagnostic_of([&] { parser.index(1); })
+                .find("'-1' is not a non-negative integer"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@
 #      and file-backed (examples/data/ fixtures, one per file format,
 #      loaded through the mmap ingestion path) plus one --batch manifest
 #      campaign, so the README's build-and-run instructions, the unified
-#      solver pipeline, and the ingestion subsystem stay honest,
+#      solver pipeline, and the ingestion subsystem stay honest; a Gset file
+#      whose parallel edges overflow must exit non-zero naming <file>:<line>,
 #   5. smoke the serving path (docs/serving.md): a duplicate-entry manifest
 #      through --batch and --serve must report exactly one array build
 #      (digest-keyed cache), stream identical rows, and accept per-job
@@ -170,6 +171,20 @@ for family in "${!fixture[@]}"; do
 done
 ./build/tools/fecim_solve --batch examples/data/campaign.batch \
   --iterations 300 --runs 2 --threads 2 --csv >/dev/null
+# Parse-time overflow diagnostic: two finite parallel edges whose merged
+# weight overflows must fail the job on the file and line that overflowed
+# it, not later as an instance-level finiteness error without a line.
+overflow_gset="build/smoke_overflow.gset"
+printf '2 2\n1 2 1e308\n2 1 1e308\n' > "${overflow_gset}"
+if ./build/tools/fecim_solve --problem maxcut --file "${overflow_gset}" \
+  --iterations 300 --runs 2 --threads 2 --csv >/dev/null \
+  2> build/smoke_overflow.err; then
+  echo "check.sh: overflowing parallel edges should exit non-zero" >&2
+  exit 1
+fi
+grep -q "${overflow_gset}:3:" build/smoke_overflow.err \
+  || { echo "check.sh: overflow diagnostic does not name <file>:<line>" >&2
+       cat build/smoke_overflow.err >&2; exit 1; }
 echo "check.sh: file-backed ingestion smoke OK"
 
 # Fault-tolerance smoke (docs/robustness.md): a journaled campaign resumed
