@@ -1,4 +1,8 @@
-// Shared scaffolding for the figure/table reproduction binaries.
+// Shared scaffolding for the figure/table reproduction binaries: the
+// paper's Max-Cut node groups, their instances and the campaign config.
+// bench_paper_maxcut runs every (group, annealer, instance) campaign once
+// and derives Figs. 8-10 and Table 1 from that result set; the ablation
+// benches reuse the same instances.
 //
 // Default scale keeps `for b in build/bench/*; do $b; done` fast; set
 // FECIM_FULL=1 for the paper's full campaign (9/9/9/3 instances, 100

@@ -7,12 +7,21 @@
 
 namespace fecim::core {
 
+namespace {
+
+/// Per-iteration flips of the single-flip baselines (direct-E and MESA).
+constexpr std::size_t kBaselineFlips = 1;
+
+}  // namespace
+
 std::unique_ptr<Annealer> make_annealer(
     AnnealerKind kind, std::shared_ptr<const ising::IsingModel> model,
     const StandardSetup& setup) {
   FECIM_EXPECTS(model != nullptr);
 
-  const crossbar::MappingConfig mapping{setup.bits, setup.mux_ratio};
+  // Every kind shares the 8-to-1 column MUX of MappingConfig's default.
+  crossbar::MappingConfig mapping;
+  mapping.bits = setup.bits;
 
   switch (kind) {
     case AnnealerKind::kThisWork:
@@ -38,7 +47,7 @@ std::unique_ptr<Annealer> make_annealer(
     case AnnealerKind::kCimAsic: {
       DirectEConfig config;
       config.iterations = setup.iterations;
-      config.flips_per_iteration = setup.baseline_flips;
+      config.flips_per_iteration = kBaselineFlips;
       config.mapping = mapping;
       config.tiles = setup.tiles;
       config.exp_unit = kind == AnnealerKind::kCimFpga ? cost::ExpUnit::kFpga
@@ -51,7 +60,7 @@ std::unique_ptr<Annealer> make_annealer(
     case AnnealerKind::kMesa: {
       MesaConfig config;
       config.base.iterations = setup.iterations;
-      config.base.flips_per_iteration = setup.baseline_flips;
+      config.base.flips_per_iteration = kBaselineFlips;
       config.base.mapping = mapping;
       config.base.tiles = setup.tiles;
       config.base.exp_unit = cost::ExpUnit::kFpga;

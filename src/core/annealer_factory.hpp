@@ -24,10 +24,8 @@ enum class AnnealerKind {
 struct StandardSetup {
   std::size_t iterations = 1000;
   std::size_t flips_per_iteration = 2;   ///< |F| for the in-situ annealer
-  std::size_t baseline_flips = 1;        ///< per-iteration flips for baselines
   double acceptance_gain = 16.0;         ///< comparator scaling (in-situ)
   int bits = 8;                          ///< weight quantization
-  std::size_t mux_ratio = 8;
   /// Physical tile grid (max rows/columns per tile, 0 = unbounded =
   /// monolithic).  Applies to every annealer kind: the in-situ engines
   /// execute over the grid (per-tile sensing, digital partial-sum

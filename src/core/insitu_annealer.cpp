@@ -8,6 +8,25 @@
 
 namespace fecim::core {
 
+namespace {
+
+/// kCluster: probability that the next flip candidate is a neighbor of the
+/// previous one (otherwise a uniform pick).  Strictly less than 1 so every
+/// pair of spins remains jointly proposable -- with pure neighbor pairs the
+/// mutual coupling term of a flipped pair is invariant, which loses
+/// ergodicity on disconnected-pair graphs.
+constexpr double kClusterNeighborBias = 0.75;
+
+/// Probability of proposing |F| - 1 flips instead of |F| on a model that
+/// carries an ancilla (i.e. came from a constrained QUBO).  A constant even
+/// |F| conserves the configuration's bit parity, making valid one-hot
+/// states unreachable from half of all starts; odd-size moves restore
+/// ergodicity.  Pure quadratic models use 0, so Max-Cut keeps the paper's
+/// exact |F| accounting.
+constexpr double kAncillaParityMix = 0.25;
+
+}  // namespace
+
 InSituCimAnnealer::InSituCimAnnealer(
     std::shared_ptr<const ising::IsingModel> model, InSituConfig config)
     : model_(std::move(model)),
@@ -32,8 +51,7 @@ InSituCimAnnealer::InSituCimAnnealer(
 void InSituCimAnnealer::cluster_flip_set(util::Rng& rng,
                                          RunWorkspace& ws) const {
   const std::size_t flippable = model_->num_flippable();
-  double parity_mix = config_.parity_mix;
-  if (parity_mix < 0.0) parity_mix = model_->has_ancilla() ? 0.25 : 0.0;
+  const double parity_mix = model_->has_ancilla() ? kAncillaParityMix : 0.0;
   std::size_t t = config_.flips_per_iteration;
   if (t > 1 && parity_mix > 0.0 && rng.bernoulli(parity_mix)) --t;
 
@@ -52,11 +70,11 @@ void InSituCimAnnealer::cluster_flip_set(util::Rng& rng,
     const auto neighbors = j.row_cols(current);
     std::uint32_t next = 0;
     bool found = false;
-    // With probability cluster_neighbor_bias take a coupled spin; isolated
+    // With probability kClusterNeighborBias take a coupled spin; isolated
     // or exhausted neighborhoods (and the remaining probability mass) fall
     // back to a uniform pick so the set always reaches size t and every
     // pair stays proposable.
-    if (rng.bernoulli(config_.cluster_neighbor_bias)) {
+    if (rng.bernoulli(kClusterNeighborBias)) {
       for (int attempt = 0; attempt < 8 && !neighbors.empty(); ++attempt) {
         const auto candidate =
             neighbors[rng.uniform_index(neighbors.size())];

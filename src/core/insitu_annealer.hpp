@@ -38,19 +38,6 @@ struct InSituConfig {
   ///  * kRandom: t uniform distinct spins.
   enum class FlipSelection { kCluster, kRandom };
   FlipSelection flip_selection = FlipSelection::kCluster;
-  /// kCluster: probability that the next flip candidate is a neighbor of
-  /// the previous one (otherwise a uniform pick).  Strictly less than 1 so
-  /// every pair of spins remains jointly proposable -- with pure neighbor
-  /// pairs the mutual coupling term of a flipped pair is invariant, which
-  /// loses ergodicity on disconnected-pair graphs.
-  double cluster_neighbor_bias = 0.75;
-  /// Probability of proposing |F| - 1 flips instead of |F|.  A constant
-  /// even |F| conserves the configuration's bit parity, making valid
-  /// one-hot states unreachable from half of all starts; odd-size moves
-  /// restore ergodicity.  Negative = auto (0.25 when the model carries an
-  /// ancilla, i.e. came from a constrained QUBO; 0 for pure quadratic
-  /// models so Max-Cut keeps the paper's exact |F| accounting).
-  double parity_mix = -1.0;
   BgAnnealingSchedule::Config schedule{};  ///< total_iterations overridden
   crossbar::MappingConfig mapping{};
   /// Physical tile grid the crossbar is realized on (max rows/columns per

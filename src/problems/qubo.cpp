@@ -1,7 +1,9 @@
 #include "problems/qubo.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <unordered_set>
@@ -16,62 +18,124 @@ namespace fecim::problems {
 
 namespace {
 
-template <typename Source>
-QuboInstance read_qubo_impl(Source&& in, const std::string& context) {
-  io::LineParser parser(in, context);
-
-  // Optional directives ahead of the header, in any order.
+/// The optional directives and the "<n> <nnz>" header ahead of the triplets.
+struct QuboHeader {
   bool maximize = false;
   double constant = 0.0;
+  std::size_t n = 0;
+  std::size_t nnz = 0;
+};
+
+QuboHeader read_header(io::LineParser& parser, const std::string& context) {
+  // Optional directives ahead of the header, in any order.
+  QuboHeader header;
   for (;;) {
     if (!parser.next())
       throw contract_error(context + ": empty input (expected '<n> <nnz>')");
     if (parser.field(0) == "minimize" || parser.field(0) == "maximize") {
       parser.require_fields(1, 1);
-      maximize = parser.field(0) == "maximize";
+      header.maximize = parser.field(0) == "maximize";
       continue;
     }
     if (parser.field(0) == "constant") {
       parser.require_fields(2, 2);
-      constant = parser.number(1);
+      header.constant = parser.number(1);
       continue;
     }
     break;
   }
 
   parser.require_fields(2, 2);
-  const std::size_t n = parser.index(0);
-  const std::size_t nnz = parser.index(1);
-  if (n == 0) parser.fail("QUBO must have at least one variable");
+  header.n = parser.index(0);
+  header.nnz = parser.index(1);
+  if (header.n == 0) parser.fail("QUBO must have at least one variable");
+  return header;
+}
 
-  linalg::CsrMatrix::Builder builder(n, n);
-  for (std::size_t k = 0; k < nnz; ++k) {
-    if (!parser.next())
-      parser.fail_truncated(std::to_string(nnz) + " triplets, got " +
-                            std::to_string(k));
-    parser.require_fields(3, 3);
-    std::size_t i = parser.index(0);
-    std::size_t j = parser.index(1);
-    const double q = parser.number(2);
-    if (i < 1 || i > n || j < 1 || j > n)
-      parser.fail("variable index out of range [1, " + std::to_string(n) +
-                  "]");
-    // Canonicalize onto the upper triangle; duplicates and mirrored
-    // entries accumulate (the Builder merges by summation).
-    if (i > j) std::swap(i, j);
-    builder.add(i - 1, j - 1, q);
+/// One triplet, 0-indexed and canonicalized onto the upper triangle.
+struct QuboEntry {
+  std::size_t i;
+  std::size_t j;
+  double q;
+};
+
+/// Reads triplet `k` of `header.nnz`, leaving the parser on its line.
+QuboEntry read_entry(io::LineParser& parser, const QuboHeader& header,
+                     std::size_t k) {
+  if (!parser.next())
+    parser.fail_truncated(std::to_string(header.nnz) + " triplets, got " +
+                          std::to_string(k));
+  parser.require_fields(3, 3);
+  std::size_t i = parser.index(0);
+  std::size_t j = parser.index(1);
+  const double q = parser.number(2);
+  if (i < 1 || i > header.n || j < 1 || j > header.n)
+    parser.fail("variable index out of range [1, " +
+                std::to_string(header.n) + "]");
+  // Duplicates and mirrored entries accumulate (the Builder merges by
+  // summation).
+  if (i > j) std::swap(i, j);
+  return {i - 1, j - 1, q};
+}
+
+/// Called when merging `text`'s triplets into `q` overflowed: re-reads them,
+/// summing each coordinate in insertion order as CsrMatrix::Builder does,
+/// and fails on the line whose entry first makes a sum non-finite.  Only
+/// the failure path pays for the second pass.
+[[noreturn]] void fail_on_overflowing_entry(std::string_view text,
+                                            const std::string& context,
+                                            const linalg::CsrMatrix& q) {
+  io::LineParser parser(text, context);
+  const auto header = read_header(parser, context);
+  // One running sum per stored nonzero of q, in CSR order.  A coordinate
+  // missing from q cancelled to exactly 0, so it never overflowed.
+  std::vector<double> sums(q.nonzeros(), 0.0);
+  const double* const first_value = q.row_values(0).data();
+  for (std::size_t k = 0; k < header.nnz; ++k) {
+    const auto entry = read_entry(parser, header, k);
+    const auto cols = q.row_cols(entry.i);
+    const auto col = std::lower_bound(cols.begin(), cols.end(), entry.j);
+    if (col == cols.end() || *col != entry.j) continue;
+    double& sum = sums[static_cast<std::size_t>(
+        q.row_values(entry.i).data() - first_value + (col - cols.begin()))];
+    sum += entry.q;
+    if (!std::isfinite(sum))
+      parser.fail("entries at (" + std::to_string(entry.i + 1) + ", " +
+                  std::to_string(entry.j + 1) +
+                  ") sum to a non-finite value");
+  }
+  throw contract_error(context + ": QUBO entries sum to a non-finite value");
+}
+
+QuboInstance read_qubo_impl(std::string_view text,
+                            const std::string& context) {
+  io::LineParser parser(text, context);
+  const auto header = read_header(parser, context);
+  linalg::CsrMatrix::Builder builder(header.n, header.n);
+  for (std::size_t k = 0; k < header.nnz; ++k) {
+    const auto entry = read_entry(parser, header, k);
+    builder.add(entry.i, entry.j, entry.q);
   }
   if (parser.next())
-    parser.fail("trailing content after " + std::to_string(nnz) +
+    parser.fail("trailing content after " + std::to_string(header.nnz) +
                 " triplets");
 
-  return QuboInstance{ising::QuboModel(builder.build(), constant), maximize};
+  auto q = builder.build();
+  // Every entry is finite (LineParser::number), so a non-finite value is a
+  // merge that overflowed.
+  for (std::size_t r = 0; r < q.rows(); ++r)
+    for (const double v : q.row_values(r))
+      if (!std::isfinite(v)) fail_on_overflowing_entry(text, context, q);
+  return QuboInstance{ising::QuboModel(std::move(q), header.constant),
+                      header.maximize};
 }
 
 }  // namespace
 
 QuboInstance read_qubo(std::istream& in, const std::string& context) {
-  return read_qubo_impl(in, context);
+  // Buffered whole: an overflow diagnostic re-reads the triplets.
+  const std::string text{std::istreambuf_iterator<char>(in), {}};
+  return read_qubo_impl(text, context);
 }
 
 QuboInstance read_qubo(std::string_view text, const std::string& context) {
@@ -81,7 +145,7 @@ QuboInstance read_qubo(std::string_view text, const std::string& context) {
 QuboInstance read_qubo_file(const std::string& path) {
   return io::read_file(path, "qubo",
                        [](auto&& in, const std::string& context) {
-                         return read_qubo_impl(in, context);
+                         return read_qubo(in, context);
                        });
 }
 

@@ -564,6 +564,31 @@ TEST(QuboIo, MirroredAndDuplicateTripletsAccumulate) {
                    3.5);
 }
 
+TEST(QuboIo, NonFiniteDuplicateSumNamesTheLine) {
+  // Each entry is finite; their merge is not.  The reader blames the line
+  // whose entry first overflowed a coordinate's sum, for duplicate and for
+  // mirrored triplets, instead of leaving it to the factory's check.
+  for (const std::string text : {"3 3\n1 2 1e308\n2 3 1\n1 2 1e308\n",
+                                 "3 3\n1 2 1e308\n2 3 1\n2 1 1e308\n"}) {
+    std::istringstream in(text);
+    const auto from_stream = diagnostic_of([&] { read_qubo(in); });
+    EXPECT_NE(from_stream.find("qubo:4:"), std::string::npos) << from_stream;
+    EXPECT_NE(from_stream.find("(1, 2)"), std::string::npos) << from_stream;
+    EXPECT_NE(from_stream.find("non-finite"), std::string::npos)
+        << from_stream;
+    EXPECT_EQ(diagnostic_of([&] { read_qubo(std::string_view(text)); }),
+              from_stream);
+  }
+  // Two coordinates overflow; the earlier line wins, and a comment line
+  // keeps the physical numbering.
+  const auto first = diagnostic_of([&] {
+    read_qubo(std::string_view("2 4\n1 1 1e308\n# note\n2 1 -1e308\n"
+                               "1 2 -1e308\n1 1 1e308\n"));
+  });
+  EXPECT_NE(first.find("qubo:5:"), std::string::npos) << first;
+  EXPECT_NE(first.find("(1, 2)"), std::string::npos) << first;
+}
+
 TEST(QuboIo, WriteReadRoundTripIsLossless) {
   const auto original = random_qubo(12, 4.0, 99);
   std::stringstream buffer;

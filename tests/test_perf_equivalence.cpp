@@ -415,13 +415,14 @@ TEST(FullRunEquivalence, InSituAnalogMatchesSeedLoop) {
 
 /// The seed cluster selection: O(t^2) linear duplicate scans and unbounded
 /// uniform re-draws.  Identical RNG draw order to the optimized version for
-/// the sparse flip sets this test uses.
+/// the sparse flip sets this test uses.  The parity mix (0.25, ancilla models
+/// only) and the neighbor bias (0.75) are spelled as literals so the replica
+/// stays independent of the library's constants.
 ising::FlipSet seed_cluster_flip_set(const ising::IsingModel& model,
                                      const core::InSituConfig& config,
                                      util::Rng& rng) {
   const std::size_t flippable = model.num_flippable();
-  double parity_mix = config.parity_mix;
-  if (parity_mix < 0.0) parity_mix = model.has_ancilla() ? 0.25 : 0.0;
+  const double parity_mix = model.has_ancilla() ? 0.25 : 0.0;
   std::size_t t = config.flips_per_iteration;
   if (t > 1 && parity_mix > 0.0 && rng.bernoulli(parity_mix)) --t;
   ising::FlipSet flips;
@@ -432,7 +433,7 @@ ising::FlipSet seed_cluster_flip_set(const ising::IsingModel& model,
     const auto neighbors = j.row_cols(current);
     std::uint32_t next = 0;
     bool found = false;
-    if (rng.bernoulli(config.cluster_neighbor_bias)) {
+    if (rng.bernoulli(0.75)) {
       for (int attempt = 0; attempt < 8 && !neighbors.empty(); ++attempt) {
         const auto candidate = neighbors[rng.uniform_index(neighbors.size())];
         if (candidate >= flippable) continue;

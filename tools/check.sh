@@ -4,7 +4,9 @@
 #      benches, examples, tools),
 #   2. run the test suite -- the tier-1 fast loop (ctest -L tier1) by
 #      default, every label (tier1 + differential + slow) under --full,
-#   3. smoke-run the hot-path benchmark -- which exits non-zero when any
+#   3. smoke-run the paper Max-Cut bench (Figs. 8-10 and Table 1 from one
+#      campaign set; it exits non-zero when any campaign run failed), then
+#      the hot-path benchmark -- which exits non-zero when any
 #      campaign row's optimized side differs run by run from its reference
 #      or its JSON cannot be written -- and gate its speedups against the
 #      tracked baseline in BENCH_hotpath.json (tools/bench_gate.py; >10%
@@ -16,7 +18,8 @@
 #      loaded through the mmap ingestion path) plus one --batch manifest
 #      campaign, so the README's build-and-run instructions, the unified
 #      solver pipeline, and the ingestion subsystem stay honest; a Gset file
-#      whose parallel edges overflow must exit non-zero naming <file>:<line>,
+#      whose parallel edges overflow, and a QUBO file whose duplicate
+#      triplets overflow, must each exit non-zero naming <file>:<line>,
 #   5. smoke the serving path (docs/serving.md): a duplicate-entry manifest
 #      through --batch and --serve must report exactly one array build
 #      (digest-keyed cache), stream identical rows, and accept per-job
@@ -117,6 +120,12 @@ else
     --no-tests=error
 fi
 
+# Paper-figure smoke: one instance per node group and two runs per campaign
+# exercise every table of bench_paper_maxcut; a failed campaign run makes it
+# exit non-zero.  It runs ahead of the hot-path gate, which is host-sensitive.
+FECIM_INSTANCES=1 FECIM_RUNS=2 ./build/bench/bench_paper_maxcut >/dev/null
+echo "check.sh: paper Max-Cut bench smoke OK"
+
 # Smoke configuration: smallest size, few iterations; the JSON goes to the
 # build tree (never the tracked baseline) for the regression gate.  A failed
 # determinism check or JSON write makes bench_hotpath exit non-zero, which
@@ -184,6 +193,18 @@ if ./build/tools/fecim_solve --problem maxcut --file "${overflow_gset}" \
 fi
 grep -q "${overflow_gset}:3:" build/smoke_overflow.err \
   || { echo "check.sh: overflow diagnostic does not name <file>:<line>" >&2
+       cat build/smoke_overflow.err >&2; exit 1; }
+# The same for a QUBO file whose mirrored triplets sum past the double range.
+overflow_qubo="build/smoke_overflow.qubo"
+printf '2 2\n1 2 1e308\n2 1 1e308\n' > "${overflow_qubo}"
+if ./build/tools/fecim_solve --problem qubo --file "${overflow_qubo}" \
+  --iterations 300 --runs 2 --threads 2 --csv >/dev/null \
+  2> build/smoke_overflow.err; then
+  echo "check.sh: overflowing QUBO triplets should exit non-zero" >&2
+  exit 1
+fi
+grep -q "${overflow_qubo}:3:" build/smoke_overflow.err \
+  || { echo "check.sh: QUBO overflow diagnostic does not name <file>:<line>" >&2
        cat build/smoke_overflow.err >&2; exit 1; }
 echo "check.sh: file-backed ingestion smoke OK"
 
