@@ -30,10 +30,15 @@
 // per bit.  The cache is a pure re-layout of column()/bit_multiplier(): the
 // engine's sums over it are bit-identical to decoding magnitudes on the fly
 // (entries stay in ascending intra-column order, and dropped
-// zero-multiplier cells only ever contributed exact +0.0 terms).
+// zero-multiplier cells only ever contributed exact +0.0 terms).  Both the
+// per-cell variation draw and the cache build fan out on the util pool;
+// every cell and every (band, column) is a pure function of its index, so
+// the array is the same for every thread count (PERF.md invariant 10).
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -45,6 +50,23 @@
 #include "util/rng.hpp"
 
 namespace fecim::crossbar {
+
+/// std::allocator whose value-less construct() default-initializes, so
+/// resize() leaves trivial elements unwritten instead of zero-filling them.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
 
 class ProgrammedArray {
  public:
@@ -258,8 +280,10 @@ class ProgrammedArray {
   std::vector<SegmentRef> segments_;  // [((band * n + j) * bits + bit) * 2 + plane]
   std::vector<SegmentClass> classes_;    // grouped per (band, column)
   std::vector<std::uint32_t> class_ptr_;  // (band, column) -> range in classes_
-  std::vector<std::uint32_t> cache_rows_;  // band-relative rows
-  std::vector<float> cache_mults_;
+  // Sized to a bound and compacted at build time, so never zero-filled.
+  std::vector<std::uint32_t, DefaultInitAllocator<std::uint32_t>>
+      cache_rows_;  // band-relative rows
+  std::vector<float, DefaultInitAllocator<float>> cache_mults_;
   std::vector<double> class_weights_;      // aligned with classes_
   std::vector<std::uint32_t> present_count_;  // per (band, column)
   std::vector<std::uint32_t> present_total_;  // per column, summed over bands

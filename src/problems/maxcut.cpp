@@ -18,9 +18,12 @@ ising::IsingModel maxcut_to_ising(const Graph& graph) {
 
 double cut_value(const Graph& graph, std::span<const ising::Spin> spins) {
   FECIM_EXPECTS(spins.size() == graph.num_vertices());
+  // Branch-free on the (random) spin signs: adding +0.0 for an uncut edge
+  // is exact, because `cut` starts at +0.0 and a sum with +0.0 can never
+  // produce -0.0, so the total equals the skip-uncut-edges sum bit for bit.
   double cut = 0.0;
   for (const auto& e : graph.edges())
-    if (spins[e.u] != spins[e.v]) cut += e.weight;
+    cut += spins[e.u] != spins[e.v] ? e.weight : 0.0;
   return cut;
 }
 
@@ -52,11 +55,15 @@ double local_search_1opt(const Graph& graph, ising::SpinVector& spins,
   FECIM_EXPECTS(spins.size() == n);
 
   // gain[v] = cut increase from flipping v
-  //         = sum_{u ~ v} w_uv * (same_side ? +1 : -1).
+  //         = sum_{u ~ v} w_uv * (same_side ? +1 : -1)
+  //         = sum_{u ~ v} (s_u * s_v) * w_uv.
+  // The sign products are exact +-1 (and +-2 below), so multiplying by them
+  // equals the conditional negation bit for bit -- signed zeros included --
+  // without a branch on the random spin signs.
   std::vector<double> gain(n, 0.0);
   for (const auto& e : graph.edges()) {
     const double signed_w =
-        spins[e.u] == spins[e.v] ? e.weight : -e.weight;
+        static_cast<double>(spins[e.u] * spins[e.v]) * e.weight;
     gain[e.u] += signed_w;
     gain[e.v] += signed_w;
   }
@@ -70,10 +77,12 @@ double local_search_1opt(const Graph& graph, ising::SpinVector& spins,
       gain[v] = -gain[v];
       const auto nbrs = graph.neighbors(v);
       const auto weights = graph.neighbor_weights(v);
+      const double two_sv = 2.0 * spins[v];
       for (std::size_t k = 0; k < nbrs.size(); ++k) {
         const auto u = nbrs[k];
-        // Edge u-v changed sides: the u gain shifts by +-2w.
-        gain[u] += spins[u] == spins[v] ? 2.0 * weights[k] : -2.0 * weights[k];
+        // Edge u-v changed sides: the u gain shifts by +2w when u and v now
+        // share a side, else by -2w.
+        gain[u] += (two_sv * spins[u]) * weights[k];
       }
     }
     if (!improved) break;

@@ -92,11 +92,16 @@ class ThreadPool {
     return pool;
   }
 
-  void run(std::size_t count, const std::function<void(std::size_t)>& body,
-           std::size_t max_slots) {
-    // One job at a time: concurrent top-level parallel_for calls queue here
-    // rather than interleaving claims on the shared worker set.
-    const std::lock_guard<std::mutex> run_lock(run_mutex_);
+  /// Runs the job on the pool and returns true, or returns false at once
+  /// (running nothing) when another top-level call owns the pool.
+  bool try_run(std::size_t count, const std::function<void(std::size_t)>& body,
+               std::size_t max_slots) {
+    // One job at a time, and a busy pool is never waited for: the caller
+    // runs its indices inline instead.  Queueing here could deadlock -- a
+    // pool task blocked on work (say, an in-flight ArrayCache build) whose
+    // own fan-out would be queued behind that very task.
+    const std::unique_lock<std::mutex> run_lock(run_mutex_, std::try_to_lock);
+    if (!run_lock.owns_lock()) return false;
     auto job = std::make_shared<Job>();
     job->body = &body;
     job->count = count;
@@ -136,6 +141,7 @@ class ThreadPool {
     if (job->failure_count == 1) std::rethrow_exception(job->errors.front());
     if (job->failure_count > 1)
       throw parallel_error(job->failure_count, describe_errors(job->errors));
+    return true;
   }
 
  private:
@@ -220,16 +226,16 @@ void parallel_for(std::size_t count,
   if (count == 0) return;
   threads = resolved_parallel_threads(count, threads);
 
-  // Serial fast path; also taken for nested calls from inside a pool task,
-  // which would otherwise deadlock on the single-job pool, and for forked
-  // shard workers (force_serial_parallelism).
-  if (threads <= 1 || tl_in_parallel_region ||
-      g_force_serial.load(std::memory_order_relaxed)) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
+  // Serial path: one thread, nested calls from inside a pool task (which
+  // would otherwise deadlock on the single-job pool), forked shard workers
+  // (force_serial_parallelism), and top-level calls that find the pool busy
+  // with another caller's job.  Every index's work is the same wherever it
+  // runs, so the fallback moves no value.
+  if (threads > 1 && !tl_in_parallel_region &&
+      !g_force_serial.load(std::memory_order_relaxed) &&
+      ThreadPool::instance().try_run(count, body, threads))
     return;
-  }
-
-  ThreadPool::instance().run(count, body, threads);
+  for (std::size_t i = 0; i < count; ++i) body(i);
 }
 
 void force_serial_parallelism() noexcept {

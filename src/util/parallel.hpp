@@ -51,7 +51,11 @@ class parallel_error : public std::runtime_error {
 /// already in flight can add to the aggregate.  The worker pool stays
 /// usable after a throwing call.  Nested calls from inside a task body
 /// execute serially inline (and stop at the first exception).  Thread-safe:
-/// concurrent top-level calls are serialized against each other.
+/// the pool runs one call at a time, and a top-level call that finds it
+/// busy with another thread's call runs serially inline on its own thread,
+/// like a nested call (never waiting for the pool, so a task blocked on
+/// another thread's fan-out cannot deadlock it).  Bodies therefore must
+/// not wait on one another.
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
                   std::size_t threads = 0);
 

@@ -7,12 +7,16 @@
 //    build would be bit-identical (PERF.md invariants 1 and 2).
 //  * get_or_build returns the *same* shared array for equal keys, evicts
 //    in LRU order under a byte budget (never the most-recent entry), and
-//    builds each digest exactly once under concurrent racing callers.
+//    builds each digest exactly once under concurrent racing callers --
+//    including a pool task waiting on a plain thread's in-flight build.
 //  * End to end: campaigns run through a shared cache are bit-identical to
 //    uncached campaigns, deterministic and noisy, monolithic and tiled.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/annealer_factory.hpp"
@@ -220,6 +224,51 @@ TEST(ArrayCache, ConcurrentRequestsBuildEachDigestOnce) {
   EXPECT_EQ(stats.misses, kDigests);  // misses == actual builds
   EXPECT_EQ(stats.hits, kCallers - kDigests);
   EXPECT_EQ(stats.entries, kDigests);
+}
+
+TEST(ArrayCache, PoolTaskWaitingOnInFlightBuildDoesNotDeadlock) {
+  // A plain thread programs an array -- whose variation draw and column
+  // cache fan out with parallel_for -- while a pool task of another
+  // parallel_for requests the same digest and so waits on that in-flight
+  // build.  The build's fan-out must not queue behind the pool job holding
+  // the waiting task.  The request runs on a helper thread so the task's
+  // wait can be bounded: a deadlock fails the test instead of hanging it.
+  using namespace std::chrono_literals;
+  const auto in = make_inputs(400);
+  crossbar::ArrayCache cache;
+  auto build = [&] {
+    return cache.get_or_build(in.quantized, in.mapping, in.device,
+                              in.variation, in.seed, in.tiles);
+  };
+  std::promise<void> task_started;
+  auto started = task_started.get_future();
+  std::shared_ptr<const crossbar::ProgrammedArray> built;
+  std::thread builder([&] {
+    if (started.wait_for(10s) == std::future_status::ready) built = build();
+  });
+  std::future<std::shared_ptr<const crossbar::ProgrammedArray>> request;
+  auto status = std::future_status::timeout;
+  util::parallel_for(
+      2,
+      [&](std::size_t i) {
+        if (i != 0) return;
+        task_started.set_value();
+        // Request only once the builder's build is registered in flight.
+        const auto deadline = std::chrono::steady_clock::now() + 10s;
+        while (cache.stats().misses == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+          std::this_thread::yield();
+        request = std::async(std::launch::async, build);
+        status = request.wait_for(10s);
+      },
+      2);
+  builder.join();
+  ASSERT_EQ(status, std::future_status::ready);
+  ASSERT_TRUE(built);
+  EXPECT_EQ(request.get().get(), built.get());
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
 }
 
 // ---------------------------------------------------------------------------

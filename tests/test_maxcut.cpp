@@ -1,7 +1,10 @@
 // Max-Cut mapping identities, brute force, local search, reference cuts.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "problems/generators.hpp"
 #include "problems/maxcut.hpp"
@@ -130,6 +133,97 @@ TEST(MaxCut, ReferenceCutIsIdenticalOnPoolNestedAndSerial) {
   EXPECT_EQ(pooled, kSerial);
   EXPECT_EQ(nested[0], kSerial);
   EXPECT_EQ(nested[1], kSerial);
+}
+
+// The 1-opt descent and cut as they were before their sign branches became
+// sign arithmetic; the library forms must match them bit for bit.
+double branchy_cut_value(const Graph& graph,
+                         std::span<const fecim::ising::Spin> spins) {
+  double cut = 0.0;
+  for (const auto& e : graph.edges())
+    if (spins[e.u] != spins[e.v]) cut += e.weight;
+  return cut;
+}
+
+double branchy_local_search_1opt(const Graph& graph,
+                                 fecim::ising::SpinVector& spins) {
+  const std::size_t n = graph.num_vertices();
+  std::vector<double> gain(n, 0.0);
+  for (const auto& e : graph.edges()) {
+    const double signed_w = spins[e.u] == spins[e.v] ? e.weight : -e.weight;
+    gain[e.u] += signed_w;
+    gain[e.v] += signed_w;
+  }
+  for (std::size_t pass = 0; pass < 200; ++pass) {
+    bool improved = false;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      if (gain[v] <= 1e-12) continue;
+      improved = true;
+      spins[v] = static_cast<fecim::ising::Spin>(-spins[v]);
+      gain[v] = -gain[v];
+      const auto nbrs = graph.neighbors(v);
+      const auto weights = graph.neighbor_weights(v);
+      for (std::size_t k = 0; k < nbrs.size(); ++k) {
+        const auto u = nbrs[k];
+        gain[u] += spins[u] == spins[v] ? 2.0 * weights[k] : -2.0 * weights[k];
+      }
+    }
+    if (!improved) break;
+  }
+  return branchy_cut_value(graph, spins);
+}
+
+/// Runs both forms from the same random starts; spins and cuts must agree
+/// exactly (cuts compared as bit patterns, so a -0.0 would show).
+void expect_descent_identity(const Graph& graph, std::uint64_t seed,
+                             int starts) {
+  graph.build_adjacency();
+  fecim::util::Rng rng(seed);
+  for (int s = 0; s < starts; ++s) {
+    fecim::ising::SpinVector spins(graph.num_vertices());
+    for (auto& spin : spins) spin = static_cast<fecim::ising::Spin>(rng.spin());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cut_value(graph, spins)),
+              std::bit_cast<std::uint64_t>(branchy_cut_value(graph, spins)));
+    auto branchy = spins;
+    const double cut = local_search_1opt(graph, spins);
+    const double branchy_cut = branchy_local_search_1opt(graph, branchy);
+    ASSERT_EQ(spins, branchy) << "seed " << seed << " start " << s;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(cut),
+              std::bit_cast<std::uint64_t>(branchy_cut))
+        << "seed " << seed << " start " << s;
+  }
+}
+
+TEST(MaxCut, BranchFreeDescentMatchesBranchyForm) {
+  // Weight classes: unit, +-1, fractional signed, signed zeros mixed with
+  // units and halves, and 1e-300-scale values.
+  auto weight = [](int scheme, fecim::util::Rng& rng) {
+    switch (scheme) {
+      case 0: return 1.0;
+      case 1: return rng.bernoulli(0.5) ? 1.0 : -1.0;
+      case 2: return rng.uniform(-1.0, 1.0);
+      case 3: {
+        constexpr double kValues[] = {0.0, -0.0, 1.0, -1.0, 0.5};
+        return kValues[rng.uniform_index(5)];
+      }
+      default: return rng.uniform(-1.0, 1.0) * 1e-300;
+    }
+  };
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    const auto n = static_cast<std::uint32_t>(6 + seed % 97);
+    const int scheme = static_cast<int>(seed % 5);
+    fecim::util::Rng rng(seed);
+    Graph g(n);
+    for (std::uint32_t k = 0; k < 3 * n; ++k) {
+      const auto u = static_cast<std::uint32_t>(rng.uniform_index(n));
+      const auto v = static_cast<std::uint32_t>(rng.uniform_index(n));
+      if (u != v) g.add_edge(u, v, weight(scheme, rng));
+    }
+    expect_descent_identity(g, seed, 2);
+  }
+  // The serve stream's instance shapes.
+  expect_descent_identity(gset_like_instance(800, 7), 141, 3);
+  expect_descent_identity(gset_like_instance(1000, 7), 142, 3);
 }
 
 TEST(MaxCut, IsingModelHasHalfWeightCouplings) {

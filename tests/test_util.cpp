@@ -2,10 +2,13 @@
 // tables, histogram, parallel_for.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
-
+#include <future>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
@@ -279,6 +282,40 @@ TEST(ParallelFor, PoolSurvivesThrowingJob) {
   std::vector<std::atomic<int>> counts(256);
   fecim::util::parallel_for(256, [&](std::size_t i) { ++counts[i]; }, 4);
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
+}
+
+TEST(ParallelFor, BusyPoolRunsAnotherThreadsCallInline) {
+  // A pool task of thread A's call waits for thread B, and B signals only
+  // after its own top-level parallel_for returns.  If B's call queued
+  // behind A's job, neither could finish (the deadlock a pool task waiting
+  // on an in-flight array build used to risk).  Every wait is bounded, so
+  // that failure shows as a failed expectation, not a hung suite.
+  using namespace std::chrono_literals;
+  std::promise<void> task_started;
+  std::promise<void> b_returned;
+  auto started = task_started.get_future();
+  auto returned = b_returned.get_future();
+  bool b_visited_all = false;
+  std::thread b([&] {
+    if (started.wait_for(10s) != std::future_status::ready) return;
+    std::vector<std::atomic<int>> counts(64);
+    fecim::util::parallel_for(64, [&](std::size_t i) { ++counts[i]; }, 2);
+    b_visited_all = true;
+    for (const auto& c : counts) b_visited_all &= c.load() == 1;
+    b_returned.set_value();
+  });
+  auto status = std::future_status::timeout;
+  fecim::util::parallel_for(
+      2,
+      [&](std::size_t i) {
+        if (i != 0) return;
+        task_started.set_value();
+        status = returned.wait_for(10s);
+      },
+      2);
+  b.join();
+  EXPECT_EQ(status, std::future_status::ready);
+  EXPECT_TRUE(b_visited_all);
 }
 
 TEST(Contracts, ExpectsThrowsContractError) {

@@ -42,7 +42,7 @@
 #
 # Under --tsan the threaded suites (thread pool, campaigns, shared array
 # cache, runner, and the set-up paths that run on the pool: the Max-Cut
-# reference restarts and the memoized IR-drop solve) run
+# reference restarts, array programming and the memoized IR-drop solve) run
 # ThreadSanitizer-instrumented.
 #
 # Usage: tools/check.sh [--full] [--full-bench] [--sanitize] [--tsan]
@@ -95,7 +95,7 @@ fi
 if [[ "${tsan}" == 1 ]]; then
   cmake --preset tsan
   threaded_suites=(test_util test_campaign test_array_cache test_runner
-                   test_maxcut test_circuit)
+                   test_maxcut test_circuit test_programmed_array)
   cmake --build build-tsan -j"$(nproc)" --target "${threaded_suites[@]}"
   # Anchored: an unanchored test_runner would also match test_shard_runner.
   ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
