@@ -24,17 +24,16 @@
 //      "analog" pits run_campaign (persistent pool, zero-allocation inner
 //      loops, mutex-free reduction) against a faithful legacy campaign
 //      (reference kernels, per-iteration allocations, thread spawn per
-//      call, merge mutex); "analog-noisy" and "sb-ballistic" measure
-//      replica-parallel scaling (threads=N vs threads=1 -- legal since
-//      counter-keyed noise and dither streams unbind runs from a shared
-//      RNG); "analog-lifecycle" arms a never-tripping run deadline against
-//      the token-free path, pinning the amortized cancellation poll's
-//      overhead at ~1.0x (PERF.md invariant); "analog-batch-cached" replays
-//      one short campaign through a shared array cache vs per-construction
-//      programming; "analog-noisy-sharded" runs the noisy campaign across
-//      two fork-spawned worker processes (core/shard_runner.hpp) vs the
-//      in-process pool.  The n=256 rows run in every mode so check.sh smoke
-//      passes always have baseline rows to gate on.
+//      call, merge mutex); "analog-lifecycle" arms a never-tripping run
+//      deadline against the token-free path, pinning the amortized
+//      cancellation poll's overhead at ~1.0x (PERF.md invariant);
+//      "analog-batch-cached" replays one short campaign through a shared
+//      array cache vs per-construction programming.  Every row times code
+//      against code on one topology: bit-identity across thread and worker
+//      counts is pinned by tests (test_campaign, test_bifurcation,
+//      test_shard_runner), and the wall time of the pool and of fork
+//      workers by jobbench.  The n=256 rows run in every mode so check.sh
+//      smoke passes always have baseline rows to gate on.
 //
 // Emits machine-readable JSON (default BENCH_hotpath.json; FECIM_BENCH_OUT
 // overrides) so the perf trajectory is tracked across PRs.
@@ -54,7 +53,6 @@
 #include "core/acceptance.hpp"
 #include "core/insitu_annealer.hpp"
 #include "core/runner.hpp"
-#include "core/shard_runner.hpp"
 #include "core/schedule.hpp"
 #include "crossbar/analog_engine.hpp"
 #include "crossbar/array_cache.hpp"
@@ -91,7 +89,6 @@ struct CampaignRow {
   std::size_t runs = 0;
   std::size_t iterations = 0;
   std::size_t threads = 0;
-  std::size_t workers = 0;  ///< forked shard processes; 0 = in-process pool
   double optimized_seconds = 0.0;
   double legacy_seconds = 0.0;
   double speedup = 0.0;
@@ -415,7 +412,6 @@ struct CampaignSpec {
   const char* reference_label;  ///< console name of the reference side
   std::size_t runs = 0;         ///< runs per pass, summed over repeats
   std::size_t iterations = 0;
-  std::size_t workers = 0;      ///< forked shard processes; 0 = in-process
   CampaignBody reference;
   CampaignBody optimized;
 };
@@ -459,15 +455,15 @@ CampaignBody legacy_analog_campaign(
 }
 
 /// The campaign rows at size n, in JSON order.  The deterministic in-situ
-/// rows run `runs` x `iterations`; the noisy and batch rows a quarter of
-/// the iterations.  Every optimized side must reproduce its reference run
+/// rows run `runs` x `iterations`; the batch row a quarter of the
+/// iterations.  Every optimized side must reproduce its reference run
 /// for run (checked by run_campaign_row).
 std::vector<CampaignSpec> campaign_specs(std::size_t n, std::size_t runs,
                                          std::size_t iterations) {
   const auto instance =
       std::make_shared<const core::ProblemInstance>(campaign_instance(n));
-  const auto insitu = [](bool noisy, std::size_t budget) {
-    auto config = analog_config(noisy);
+  const auto insitu = [](std::size_t budget) {
+    auto config = analog_config(/*noisy=*/false);
     config.iterations = budget;
     config.flips_per_iteration = 2;
     config.flip_selection = core::InSituConfig::FlipSelection::kRandom;
@@ -483,26 +479,12 @@ std::vector<CampaignSpec> campaign_specs(std::size_t n, std::size_t runs,
   };
 
   const auto deterministic = std::make_shared<const core::InSituCimAnnealer>(
-      instance->model, insitu(false, iterations));
-  const auto noisy = std::make_shared<const core::InSituCimAnnealer>(
-      instance->model, insitu(true, iterations / 4));
-  // The step budget is scaled by 2/n so SB senses about as many columns as
-  // the in-situ rows (one SB step = n field readouts).
-  core::StandardSetup sb_setup;
-  sb_setup.iterations = std::max<std::size_t>(10, iterations * 2 / n);
-  const std::shared_ptr<const core::Annealer> sb = core::make_annealer(
-      core::AnnealerKind::kSbBallistic, instance->model, sb_setup);
+      instance->model, insitu(iterations));
 
   core::CampaignConfig pooled;  // threads = 0: the whole pool
   pooled.runs = runs;
   core::CampaignConfig with_deadlines = pooled;
   with_deadlines.run_timeout_seconds = 3600.0;  // never trips; polls stay hot
-  core::CampaignConfig serial = pooled;
-  serial.threads = 1;
-  core::CampaignConfig parallel = serial;
-  parallel.threads = util::worker_threads();
-  core::CampaignConfig sharded = serial;
-  sharded.workers = 2;
 
   // Duplicate-heavy batch: 6 fresh annealers replaying one 4-run campaign,
   // the way run_batch and the serve loop replay a repeated manifest entry.
@@ -512,7 +494,7 @@ std::vector<CampaignSpec> campaign_specs(std::size_t n, std::size_t runs,
   core::CampaignConfig batch_campaign;
   batch_campaign.runs = 4;
   const auto batch = [instance, batch_campaign,
-                      config = insitu(false, iterations / 4)](
+                      config = insitu(iterations / 4)](
                          bool cached) -> CampaignBody {
     return [=] {
       auto pass_config = config;
@@ -528,36 +510,21 @@ std::vector<CampaignSpec> campaign_specs(std::size_t n, std::size_t runs,
     };
   };
 
-  std::vector<CampaignSpec> specs{
+  return {
       // Persistent pool, zero-allocation loops, mutex-free reduction vs the
       // seed-era campaign.
-      {"analog", "legacy", runs, iterations, 0,
+      {"analog", "legacy", runs, iterations,
        legacy_analog_campaign(instance, *deterministic, runs, iterations),
        campaign(deterministic, pooled)},
-      // Replica-parallel scaling of the noisy path (counter-keyed streams);
-      // ~1x on a single-core host.
-      {"analog-noisy", "serial", runs, iterations / 4, 0,
-       campaign(noisy, serial), campaign(noisy, parallel)},
       // An armed, never-tripping run deadline vs the token-free path: the
       // amortized cancellation poll's overhead, pinned at ~1.0x (PERF.md).
-      {"analog-lifecycle", "no-token", runs, iterations, 0,
+      {"analog-lifecycle", "no-token", runs, iterations,
        campaign(deterministic, pooled),
        campaign(deterministic, with_deadlines)},
       // Shared array cache vs per-construction programming.
       {"analog-batch-cached", "uncached", kBatchRepeats * batch_campaign.runs,
-       iterations / 4, 0, batch(false), batch(true)},
-      // Simulated-bifurcation dynamics on the same array class, parallel vs
-      // serial (counter-keyed dither).
-      {"sb-ballistic", "serial", runs, sb_setup.iterations, 0,
-       campaign(sb, serial), campaign(sb, parallel)},
+       iterations / 4, batch(false), batch(true)},
   };
-  // The noisy campaign across two forked workers streaming journal-format
-  // records (core/shard_runner.hpp) vs the in-process serial path.
-  if (core::shard_runner_supported())
-    specs.push_back({"analog-noisy-sharded", "in-process", runs,
-                     iterations / 4, sharded.workers, campaign(noisy, serial),
-                     campaign(noisy, sharded)});
-  return specs;
 }
 
 /// Run-by-run equality of the two sides' last passes: seed, status, best
@@ -594,7 +561,7 @@ void check_campaign(const CampaignSpec& spec, const CampaignResults& reference,
 /// prints the row.
 CampaignRow run_campaign_row(std::size_t n, const CampaignSpec& spec) {
   CampaignRow row{n, spec.kind, spec.runs, spec.iterations,
-                  util::worker_threads(), spec.workers};
+                  util::worker_threads()};
   CampaignResults reference;
   CampaignResults optimized;
   row.legacy_seconds =
@@ -604,10 +571,10 @@ CampaignRow run_campaign_row(std::size_t n, const CampaignSpec& spec) {
   check_campaign(spec, reference, optimized);
   row.speedup = row.legacy_seconds / row.optimized_seconds;
   std::printf(
-      "campaign n=%zu %s runs=%zu iters=%zu threads=%zu workers=%zu: "
+      "campaign n=%zu %s runs=%zu iters=%zu threads=%zu: "
       "optimized %.3fs, %s %.3fs, speedup %.2fx\n",
       row.n, row.kind.c_str(), row.runs, row.iterations, row.threads,
-      row.workers, row.optimized_seconds, spec.reference_label,
+      row.optimized_seconds, spec.reference_label,
       row.legacy_seconds, row.speedup);
   return row;
 }
@@ -625,7 +592,7 @@ bool write_json(const std::string& path, const std::string& mode,
     std::fprintf(stderr, "bench_hotpath: cannot open %s\n", path.c_str());
     return false;
   }
-  std::fprintf(f, "{\n  \"schema\": \"fecim-bench-hotpath-v9\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"fecim-bench-hotpath-v10\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", mode.c_str());
   std::fprintf(f, "  \"hardware_threads\": %zu,\n", util::worker_threads());
   std::fprintf(f,
@@ -653,11 +620,11 @@ bool write_json(const std::string& path, const std::string& mode,
     std::fprintf(f,
                  "    {\"n\": %zu, \"kind\": \"%s\", \"runs\": %zu, "
                  "\"iterations\": %zu, "
-                 "\"threads\": %zu, \"workers\": %zu, "
+                 "\"threads\": %zu, "
                  "\"wall_seconds_optimized\": %.6f, "
                  "\"wall_seconds_legacy\": %.6f, \"speedup\": %.2f}%s\n",
                  row.n, row.kind.c_str(), row.runs, row.iterations,
-                 row.threads, row.workers, row.optimized_seconds,
+                 row.threads, row.optimized_seconds,
                  row.legacy_seconds, row.speedup,
                  i + 1 < campaigns.size() ? "," : "");
   }

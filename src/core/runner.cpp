@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <optional>
 
@@ -73,6 +74,9 @@ void validate_campaign(const ProblemInstance& problem,
   // Kill injection targets worker processes, not runs; meaningless without
   // the shard runner.
   FECIM_EXPECTS(config.inject.kill_workers.empty() || config.workers > 0);
+  FECIM_EXPECTS((config.workers == 0 || shard_runner_supported()) &&
+                "shard runner: this platform cannot fork worker processes "
+                "(use workers = 0)");
   for (const auto worker : config.inject.kill_workers)
     FECIM_EXPECTS(worker < config.workers);
   validate_problem(problem);
@@ -205,41 +209,55 @@ CampaignResult reduce_campaign(const ProblemInstance& problem,
 CampaignResult run_campaign(const Annealer& annealer,
                             const ProblemInstance& problem,
                             const CampaignConfig& config) {
-  // workers >= 1 selects the multi-process shard runner; same validation,
-  // building blocks, and reduction, so the result is bit-identical.
-  if (config.workers > 0)
-    return run_sharded_campaign(annealer, problem, config);
-
   validate_campaign(problem, config);
 
   // Derive per-run seeds up front so the outcome is independent of the
-  // thread schedule (and of which runs a resume still has to execute).
+  // schedule, of the worker topology, and of which runs a resume still has
+  // to execute.
   const auto seeds = derive_run_seeds(config.base_seed, config.runs);
 
   std::vector<RunOutcome> outcomes(config.runs);
-  std::vector<char> resumed(config.runs, 0);
+  std::vector<char> have(config.runs, 0);
 
+  // Every record that did not execute here -- a journal line, a surviving
+  // shard prefix, a record streamed by a forked worker -- installs through
+  // this check (each source has already checked the run index range).
+  // The breakdown is a pure function of the ledger, so recomputing it here
+  // keeps the journal and the wire free of derived quantities.
+  const auto install = [&](const JournalEntry& entry) {
+    FECIM_EXPECTS(!have[entry.run] && "campaign: duplicate run record");
+    FECIM_EXPECTS(entry.record.seed ==
+                      run_attempt_seed(seeds[entry.run],
+                                       entry.record.attempt) &&
+                  "campaign: seed mismatch (record from another campaign?)");
+    auto& slot = outcomes[entry.run];
+    slot.record = entry.record;
+    slot.ledger = entry.ledger;
+    if (entry.record.status == RunStatus::kOk)
+      slot.breakdown = cost::compute_cost(entry.ledger, config.costs,
+                                          annealer.exp_unit());
+    have[entry.run] = 1;
+  };
+
+  // Resume: union the main journal with every surviving per-shard prefix
+  // of the interrupted execution (main journal wins duplicates), and
+  // persist the union into the main journal so the shard files become
+  // redundant.
   RunJournal journal;
+  const auto install_and_journal = [&](const JournalEntry& entry) {
+    install(entry);
+    journal.append(entry);  // skips kCancelled by contract
+  };
   if (!config.journal_path.empty()) {
-    const auto entries = journal.open(config.journal_path, config.resume,
-                                      config.base_seed, config.runs);
-    for (const auto& entry : entries) {
-      // The journal stores the effective (seed, attempt) pair; it must
-      // agree with this campaign's seed table or the file belongs to a
-      // different configuration.
-      FECIM_EXPECTS(entry.record.seed ==
-                        run_attempt_seed(seeds[entry.run],
-                                         entry.record.attempt) &&
-                    "journal: seed mismatch (journal from another campaign?)");
-      auto& slot = outcomes[entry.run];
-      slot.record = entry.record;
-      slot.ledger = entry.ledger;
-      // The breakdown is a pure function of the ledger, so recomputing it
-      // here keeps the journal format free of derived quantities.
-      if (entry.record.status == RunStatus::kOk)
-        slot.breakdown = cost::compute_cost(entry.ledger, config.costs,
-                                            annealer.exp_unit());
-      resumed[entry.run] = 1;
+    for (const auto& entry : journal.open(config.journal_path, config.resume,
+                                          config.base_seed, config.runs))
+      install(entry);
+    for (std::size_t k = 0; config.resume; ++k) {
+      const auto shard_path = shard_journal_path(config.journal_path, k);
+      if (!std::filesystem::exists(shard_path)) break;
+      for (const auto& entry :
+           read_journal_file(shard_path, config.base_seed, config.runs))
+        if (!have[entry.run]) install_and_journal(entry);
     }
   }
 
@@ -248,20 +266,40 @@ CampaignResult run_campaign(const Annealer& annealer,
     campaign_deadline =
         Clock::now() + to_clock_duration(config.time_limit_seconds);
 
-  // Replica-parallel execution: each run binds its own engine clone and
-  // counter-keyed noise streams inside Annealer::run(seed), so noisy-analog
-  // replicas no longer serialize on a shared RNG and need no locking.
-  // execute_campaign_run() never throws -- failures terminate on the run's
-  // record, not the campaign.
+  if (config.workers > 0)
+    drain_shard_workers(annealer, problem, config, seeds, have,
+                        campaign_deadline, install_and_journal);
+
+  // Every run still missing executes here on the pool: all of them in
+  // process, or what a dead, torn or deadline-killed worker left behind --
+  // bit-identical to what that worker would have streamed, since the seeds
+  // are fixed.  Each run binds its own engine clone and counter-keyed
+  // noise streams inside Annealer::run(seed), so replicas need no locking,
+  // and execute_campaign_run() never throws -- failures terminate on the
+  // run's record, not the campaign.
+  std::vector<std::size_t> missing;
+  for (std::size_t run = 0; run < config.runs; ++run)
+    if (!have[run]) missing.push_back(run);
   util::parallel_for(
-      config.runs,
-      [&](std::size_t run) {
-        if (resumed[run]) return;
+      missing.size(),
+      [&](std::size_t i) {
+        const std::size_t run = missing[i];
         outcomes[run] = execute_campaign_run(annealer, problem, config, run,
                                              seeds[run], campaign_deadline);
         journal.append({run, outcomes[run].record, outcomes[run].ledger});
       },
       config.threads);
+
+  // Success: the main journal now holds every journalable record, so any
+  // per-shard files are redundant -- remove them.
+  if (!config.journal_path.empty()) {
+    for (std::size_t k = 0;; ++k) {
+      std::error_code ec;
+      if (!std::filesystem::remove(
+              shard_journal_path(config.journal_path, k), ec))
+        break;
+    }
+  }
 
   return reduce_campaign(problem, config, std::move(outcomes));
 }

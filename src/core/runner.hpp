@@ -5,12 +5,14 @@
 //
 // The runner is problem-agnostic: run_campaign() drives any ProblemInstance
 // (problems/instances.hpp builds the six built-in families, Max-Cut
-// included) and scores runs through the instance's decode hook.  The shared
-// worker pool parallelizes across runs (replicas) only.  Replica execution
-// is deterministic -- every run derives its seed up front, binds its own
+// included) and scores runs through the instance's decode hook.  Runs
+// (replicas) execute on the shared worker pool, optionally behind forked
+// worker processes (CampaignConfig::workers; the in-process campaign is
+// the zero-worker topology of the same body).  Replica execution is
+// deterministic -- every run derives its seed up front, binds its own
 // engine clone with counter-keyed noise streams inside Annealer::run(), and
 // writes into a disjoint result slot, so the campaign outcome is
-// bit-identical for every thread count.
+// bit-identical for every thread and worker count.
 #pragma once
 
 #include <memory>
@@ -47,11 +49,12 @@ struct CampaignConfig {
   double success_threshold = 0.9;  ///< paper: within 10 % of the reference
   std::size_t threads = 0;         ///< 0 = util::worker_threads()
   /// Fork-spawned worker processes (docs/sharding.md).  0 (default)
-  /// executes in process on the shared thread pool; >= 1 partitions the
-  /// runs round-robin across that many forked workers that stream records
-  /// back over pipes (core/shard_runner.hpp) -- bit-identical to the
-  /// in-process path for every worker count.  Requires a platform with
-  /// fork (core::shard_runner_supported()).
+  /// executes every run in process on the shared thread pool; >= 1 first
+  /// partitions the runs round-robin across that many forked workers that
+  /// stream records back over pipes (core/shard_runner.hpp), then runs
+  /// whatever they left missing on the pool -- bit-identical for every
+  /// worker count.  Requires a platform with fork
+  /// (core::shard_runner_supported()).
   std::size_t workers = 0;
   cost::ComponentCosts costs{};
 
@@ -68,9 +71,10 @@ struct CampaignConfig {
   /// Append-only checkpoint journal path; empty = disabled.  See
   /// core/run_journal.hpp for the format.
   std::string journal_path;
-  /// Resume from an existing journal: already-journaled runs are installed
-  /// without executing, reproducing the uninterrupted CampaignResult
-  /// bit-identically (per-run seeds are derived up front).
+  /// Resume from an existing journal: already-journaled runs -- in the
+  /// main journal or a surviving per-shard journal (PATH.shard<k>) -- are
+  /// installed without executing, reproducing the uninterrupted
+  /// CampaignResult bit-identically (per-run seeds are derived up front).
   bool resume = false;
   FaultInjection inject{};
 };
@@ -138,10 +142,9 @@ struct CampaignResult {
 };
 
 // ---------------------------------------------------------------------------
-// Campaign execution building blocks -- shared by the in-process thread-pool
-// path below and the multi-process shard runner (core/shard_runner.hpp), so
-// bit-identity between the two holds by construction instead of by parallel
-// maintenance.
+// Campaign execution building blocks -- run_campaign below is built from
+// them for every worker count, and they are public so a caller can time
+// the stages of the in-process topology one by one.
 // ---------------------------------------------------------------------------
 
 /// Per-run aggregation inputs, written into a disjoint slot by whichever
@@ -184,11 +187,13 @@ CampaignResult reduce_campaign(const ProblemInstance& problem,
                                std::vector<RunOutcome>&& outcomes);
 
 /// Run `config.runs` independent replicas of `annealer` on `problem` and
-/// aggregate.  Runs execute in parallel across `config.threads` workers;
-/// results are bit-identical for every thread count (fixed per-run seeds,
-/// disjoint result slots, reduction in run order).  With config.workers >=
-/// 1 the campaign executes on fork-spawned worker processes instead
-/// (core/shard_runner.hpp) -- still bit-identical.
+/// aggregate.  One body for every topology: validate, derive the seeds,
+/// install the journal (on resume, with any surviving shard prefixes),
+/// fork and drain config.workers shard processes when it is >= 1
+/// (core/shard_runner.hpp), execute every still-missing run across
+/// `config.threads` pool workers, remove the shard journals, reduce.
+/// Results are bit-identical for every thread and worker count (fixed
+/// per-run seeds, disjoint result slots, reduction in run order).
 ///
 /// Fault-tolerant: a throwing, timed-out, or cancelled run is recorded on
 /// its RunRecord (status + captured error) and excluded from the aggregate

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <optional>
 #include <string>
-#include <vector>
 
-#include "core/run_journal.hpp"
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
 #include "util/subprocess.hpp"
@@ -83,75 +79,13 @@ std::string shard_journal_path(const std::string& journal_path,
   return journal_path + ".shard" + std::to_string(worker);
 }
 
-CampaignResult run_sharded_campaign(const Annealer& annealer,
-                                    const ProblemInstance& problem,
-                                    const CampaignConfig& config) {
-  validate_campaign(problem, config);
-  FECIM_EXPECTS(config.workers > 0);
-  FECIM_EXPECTS(shard_runner_supported() &&
-                "shard runner: this platform cannot fork worker processes "
-                "(use workers = 0)");
-
+void drain_shard_workers(
+    const Annealer& annealer, const ProblemInstance& problem,
+    const CampaignConfig& config, const std::vector<std::uint64_t>& seeds,
+    const std::vector<char>& have,
+    const std::optional<Clock::time_point>& campaign_deadline,
+    const std::function<void(const JournalEntry&)>& install) {
   const std::size_t workers = std::min(config.workers, config.runs);
-  const auto seeds = derive_run_seeds(config.base_seed, config.runs);
-
-  std::vector<RunOutcome> outcomes(config.runs);
-  std::vector<char> have(config.runs, 0);
-
-  // The breakdown is a pure function of the ledger; recomputing it on the
-  // parent side keeps both the journal and the wire free of derived
-  // quantities.
-  const auto install = [&](const JournalEntry& entry) {
-    auto& slot = outcomes[entry.run];
-    slot.record = entry.record;
-    slot.ledger = entry.ledger;
-    if (entry.record.status == RunStatus::kOk)
-      slot.breakdown = cost::compute_cost(entry.ledger, config.costs,
-                                          annealer.exp_unit());
-    have[entry.run] = 1;
-  };
-  const auto check_entry = [&](const JournalEntry& entry) {
-    FECIM_EXPECTS(entry.run < config.runs &&
-                  "shard: run index out of range for this campaign");
-    FECIM_EXPECTS(!have[entry.run] && "shard: duplicate run record");
-    FECIM_EXPECTS(entry.record.seed ==
-                      run_attempt_seed(seeds[entry.run],
-                                       entry.record.attempt) &&
-                  "shard: seed mismatch (record from another campaign?)");
-  };
-
-  // Resume: union the main journal with every surviving per-shard prefix
-  // from the interrupted execution, then persist the union into the main
-  // journal so shard files become redundant.
-  RunJournal journal;
-  if (!config.journal_path.empty()) {
-    const auto entries = journal.open(config.journal_path, config.resume,
-                                      config.base_seed, config.runs);
-    for (const auto& entry : entries) {
-      check_entry(entry);
-      install(entry);
-    }
-    if (config.resume) {
-      for (std::size_t k = 0;; ++k) {
-        const auto shard_path = shard_journal_path(config.journal_path, k);
-        if (!std::filesystem::exists(shard_path)) break;
-        for (const auto& entry :
-             read_journal_file(shard_path, config.base_seed, config.runs)) {
-          if (have[entry.run]) continue;  // already in the main journal
-          check_entry(entry);
-          install(entry);
-          journal.append(entry);
-        }
-      }
-    }
-  }
-
-  std::optional<Clock::time_point> campaign_deadline;
-  if (config.time_limit_seconds > 0.0)
-    campaign_deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(
-                               config.time_limit_seconds));
 
   // Spawn one worker per shard that still has pending runs.  fork()
   // snapshots the parent's memory, so children read the annealer, problem,
@@ -174,10 +108,10 @@ CampaignResult run_sharded_campaign(const Annealer& annealer,
   // Drain records until every worker's pipe reaches EOF.  Pipe contents
   // survive a child's death, so even a killed worker's already-streamed
   // records are installed; a torn final line stays in the decoder's
-  // partial buffer and is simply re-executed below.  Past the campaign
-  // deadline (plus a short grace for workers busy writing their cancelled
-  // records) stragglers are SIGKILLed -- a hung worker cannot hang the
-  // campaign.
+  // partial buffer and its run stays missing for the caller.  Past the
+  // campaign deadline (plus a short grace for workers busy writing their
+  // cancelled records) stragglers are SIGKILLed -- a hung worker cannot
+  // hang the campaign.
   try {
     bool deadline_killed = false;
     while (std::any_of(live.begin(), live.end(),
@@ -216,11 +150,10 @@ CampaignResult run_sharded_campaign(const Annealer& annealer,
           std::vector<JournalEntry> entries;
           worker.decoder.feed(buffer, static_cast<std::size_t>(n), entries);
           for (const auto& entry : entries) {
-            check_entry(entry);
-            FECIM_EXPECTS(entry.run % workers == worker.index &&
+            FECIM_EXPECTS(entry.run < config.runs &&
+                          entry.run % workers == worker.index &&
                           "shard: record from a run this worker does not own");
             install(entry);
-            journal.append(entry);  // skips kCancelled by contract
           }
         } else {  // EOF or read error: the worker is done (or dead)
           util::close_fd(worker.read_fd);
@@ -239,38 +172,6 @@ CampaignResult run_sharded_campaign(const Annealer& annealer,
     }
     throw;
   }
-
-  // Recovery: any run without an installed record (dead worker, torn final
-  // line, worker killed at the deadline) is re-executed in the parent from
-  // its predetermined seed -- bit-identical to what the worker would have
-  // streamed.  Past the deadline this instantly produces the same
-  // kCancelled records the worker itself would have emitted.
-  std::vector<std::size_t> missing;
-  for (std::size_t run = 0; run < config.runs; ++run)
-    if (!have[run]) missing.push_back(run);
-  if (!missing.empty()) {
-    util::parallel_for(
-        missing.size(),
-        [&](std::size_t i) {
-          const std::size_t run = missing[i];
-          outcomes[run] = execute_campaign_run(
-              annealer, problem, config, run, seeds[run], campaign_deadline);
-          journal.append({run, outcomes[run].record, outcomes[run].ledger});
-        },
-        config.threads);
-  }
-
-  // Success: the main journal now holds every journalable record, so the
-  // per-shard files are redundant -- remove them.
-  if (!config.journal_path.empty()) {
-    for (std::size_t k = 0;; ++k) {
-      const auto shard_path = shard_journal_path(config.journal_path, k);
-      std::error_code ec;
-      if (!std::filesystem::remove(shard_path, ec)) break;
-    }
-  }
-
-  return reduce_campaign(problem, config, std::move(outcomes));
 }
 
 }  // namespace fecim::core

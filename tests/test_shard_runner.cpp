@@ -424,33 +424,41 @@ TEST(ShardRunner, ResumeUnionsMainAndShardJournals) {
   }
   for (const auto& line : run_lines) ASSERT_FALSE(line.empty());
 
-  // Simulate an interrupted sharded campaign: runs {0, 2} made it into the
-  // main journal, runs {1, 3} only into worker 0's shard journal, run 4 was
-  // lost entirely.
+  // The resume is the same for every topology, in-process included.
   const auto header =
       core::format_journal_header(config.base_seed, config.runs);
-  {
-    std::ofstream main(journal, std::ios::trunc);
-    main << header << "\n" << run_lines[0] << "\n" << run_lines[2] << "\n";
-    std::ofstream shard(core::shard_journal_path(journal, 0), std::ios::trunc);
-    shard << header << "\n" << run_lines[1] << "\n" << run_lines[3] << "\n";
+  for (std::size_t workers : {0u, 2u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    // Simulate an interrupted sharded campaign: runs {0, 2} made it into
+    // the main journal, runs {1, 3} only into worker 0's shard journal,
+    // run 4 was lost entirely.
+    {
+      std::ofstream main(journal, std::ios::trunc);
+      main << header << "\n" << run_lines[0] << "\n" << run_lines[2] << "\n";
+      std::ofstream shard(core::shard_journal_path(journal, 0),
+                          std::ios::trunc);
+      shard << header << "\n" << run_lines[1] << "\n" << run_lines[3]
+            << "\n";
+    }
+
+    // Arm fault injection on every resumed run: if the union failed to
+    // install them, re-execution would fail the runs and break
+    // bit-identity.
+    core::CampaignConfig resume = config;
+    resume.workers = workers;
+    resume.resume = true;
+    resume.inject.fail_runs = {0, 1, 2, 3};
+    const auto resumed = core::run_campaign(*annealer, problem, resume);
+    expect_results_equal(baseline, resumed);
+
+    // The union was persisted into the main journal and the shard file
+    // removed, so the next resume no longer depends on it.
+    EXPECT_FALSE(
+        std::filesystem::exists(core::shard_journal_path(journal, 0)));
+    const auto entries = core::read_journal_file(journal, config.base_seed,
+                                                 config.runs);
+    EXPECT_EQ(entries.size(), config.runs);
   }
-
-  // Arm fault injection on every resumed run: if the union failed to
-  // install them, re-execution would fail the runs and break bit-identity.
-  config.workers = 2;
-  config.resume = true;
-  config.inject.fail_runs = {0, 1, 2, 3};
-  const auto resumed = core::run_campaign(*annealer, problem, config);
-  expect_results_equal(baseline, resumed);
-
-  // The union was persisted into the main journal and the shard file
-  // removed, so the next resume no longer depends on it.
-  EXPECT_FALSE(
-      std::filesystem::exists(core::shard_journal_path(journal, 0)));
-  const auto entries = core::read_journal_file(journal, config.base_seed,
-                                               config.runs);
-  EXPECT_EQ(entries.size(), config.runs);
   remove_journal_family(journal);
 }
 

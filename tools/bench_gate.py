@@ -8,12 +8,10 @@ the smoke run has baseline rows to land on):
 
   * engine_eval rows, keyed (n, engine), and the sampler entry -- always
     gated;
-  * campaign rows, keyed (n, kind) -- gated, except the kinds whose speedup
-    is a host property rather than a property of the code: replica scaling
-    ("analog-noisy", "sb-ballistic": threads=N vs threads=1) and process
-    sharding ("analog-noisy-sharded": forked workers vs in-process).  Those
-    gate only when both files record the same hardware_threads and are
-    printed with both worker topologies (workers x threads) otherwise;
+  * campaign rows, keyed (n, kind) -- always gated.  Every campaign row
+    times code against code on one topology; none times one thread or
+    process count against another, whose ratio would be a host property
+    (tests pin that bit-identity, jobbench the wall time);
   * a smoke row with no baseline row (the normal state right after a new
     row lands, before the baseline is regenerated) is printed as tracked,
     not gated.
@@ -70,9 +68,9 @@ def main():
     for row in smoke.get("engine_eval", []):
         base = base_rows.get((row["n"], row["engine"]))
         if base is None:
-            # A row new in this schema (e.g. the v7 sb-ballistic campaign)
-            # has nothing to compare against until the baseline is
-            # regenerated -- print it so the number is on the record.
+            # A row added since the baseline was written has nothing to
+            # compare against until the baseline is regenerated -- print it
+            # so the number is on the record.
             print(f"  n={row['n']} {row['engine']}: speedup "
                   f"{fmt(row['speedup'])}, opt/s "
                   f"{fmt(row['evals_per_sec_optimized'])}"
@@ -89,39 +87,14 @@ def main():
 
     base_campaigns = {(r["n"], r.get("kind", "analog")): r
                       for r in baseline.get("campaign", [])}
-    same_host = (baseline.get("hardware_threads") is not None
-                 and baseline.get("hardware_threads")
-                 == smoke.get("hardware_threads"))
-    def topology(row):
-        """Worker topology of a campaign row: '2w x 1t' for a sharded row,
-        plain '4t' for an in-process one (workers absent or 0)."""
-        workers = row.get("workers", 0)
-        threads = row.get("threads", "?")
-        if workers:
-            return f"{workers}w x {threads}t"
-        return f"{threads}t"
-
     for row in smoke.get("campaign", []):
         kind = row.get("kind", "analog")
         base = base_campaigns.get((row["n"], kind))
         if base is None:
-            print(f"  campaign n={row['n']} {kind} [{topology(row)}]: speedup "
+            print(f"  campaign n={row['n']} {kind}: speedup "
                   f"{fmt(row['speedup'])}, opt run-iters/s "
                   f"{fmt(campaign_throughput(row))}"
                   " ... tracked, not gated (no baseline row)")
-            continue
-        if (kind in ("analog-noisy", "sb-ballistic", "analog-noisy-sharded")
-                and not same_host):
-            # These rows' speedup is a host property -- replica scaling
-            # (threads=N vs threads=1) or process sharding (forked workers
-            # vs in-process) -- not a property of the code, so they gate
-            # only when both files record the same hardware_threads.  On a
-            # different host they would fail spuriously; print them (with
-            # both topologies) for the trajectory instead.
-            print(f"  campaign n={row['n']} {kind} [{topology(row)}]: speedup "
-                  f"{fmt(row['speedup'])} vs {fmt(base['speedup'])} "
-                  f"(baseline from a {topology(base)} host)"
-                  " ... tracked, not gated (hardware_threads differ)")
             continue
         check(f"campaign n={row['n']} {kind}",
               row["speedup"], base["speedup"],

@@ -5,13 +5,7 @@
 #   2. run the test suite -- the tier-1 fast loop (ctest -L tier1) by
 #      default, every label (tier1 + differential + slow) under --full,
 #   3. smoke-run the paper Max-Cut bench (Figs. 8-10 and Table 1 from one
-#      campaign set; it exits non-zero when any campaign run failed), then
-#      the hot-path benchmark -- which exits non-zero when any
-#      campaign row's optimized side differs run by run from its reference
-#      or its JSON cannot be written -- and gate its speedups against the
-#      tracked baseline in BENCH_hotpath.json (tools/bench_gate.py; >10%
-#      regressions on both signals fail, FECIM_BENCH_TOLERANCE overrides;
-#      engine, sampler and campaign rows are gated),
+#      campaign set; it exits non-zero when any campaign run failed),
 #   4. smoke-run the quickstart example and fecim_solve on every COP family
 #      (maxcut, coloring, knapsack, partition, tsp, qubo), both generated
 #      and file-backed (examples/data/ fixtures, one per file format,
@@ -23,7 +17,8 @@
 #   5. smoke the serving path (docs/serving.md): a duplicate-entry manifest
 #      through --batch and --serve must report exactly one array build
 #      (digest-keyed cache), stream identical rows, and accept per-job
-#      flag overrides from stdin,
+#      flag overrides from stdin; a job whose file is malformed must get
+#      the same failed row, built from its own flags, in both modes,
 #   6. smoke the simulated-bifurcation backend (docs/algorithms.md) on two
 #      families plus one greedy warm-started run, asserting the CSV
 #      algorithm column records the dynamics that ran,
@@ -34,7 +29,15 @@
 #      must reproduce the CSV without re-executing any run,
 #   8. smoke the constructive warm starts: --init greedy must run on every
 #      COP family (the greedy/DSatur/density/differencing/NN/descent
-#      heuristics in problems/warm_start.hpp).
+#      heuristics in problems/warm_start.hpp),
+#   9. last, because its speedups are host-sensitive and a failure must not
+#      skip the smokes above: run the hot-path benchmark -- which exits
+#      non-zero when any campaign row's optimized side differs run by run
+#      from its reference or its JSON cannot be written -- and gate its
+#      speedups against the tracked baseline in BENCH_hotpath.json
+#      (tools/bench_gate.py; >10% regressions on both signals fail,
+#      FECIM_BENCH_TOLERANCE overrides; engine, sampler and campaign rows
+#      are gated).
 #
 # Under --sanitize the whole suite runs ASan+UBSan-instrumented, which
 # includes the mmap LineParser differential in test_instance_io (unaligned
@@ -122,24 +125,9 @@ fi
 
 # Paper-figure smoke: one instance per node group and two runs per campaign
 # exercise every table of bench_paper_maxcut; a failed campaign run makes it
-# exit non-zero.  It runs ahead of the hot-path gate, which is host-sensitive.
+# exit non-zero.
 FECIM_INSTANCES=1 FECIM_RUNS=2 ./build/bench/bench_paper_maxcut >/dev/null
 echo "check.sh: paper Max-Cut bench smoke OK"
-
-# Smoke configuration: smallest size, few iterations; the JSON goes to the
-# build tree (never the tracked baseline) for the regression gate.  A failed
-# determinism check or JSON write makes bench_hotpath exit non-zero, which
-# stops here; the old JSON is removed first so the gate never reads a stale
-# file.
-smoke_json="build/bench_smoke.json"
-rm -f "${smoke_json}"
-FECIM_BENCH_SMOKE=1 FECIM_BENCH_OUT="${smoke_json}" ./build/bench/bench_hotpath
-
-if command -v python3 >/dev/null 2>&1; then
-  python3 tools/bench_gate.py BENCH_hotpath.json "${smoke_json}"
-else
-  echo "check.sh: python3 not found; skipping bench regression gate" >&2
-fi
 
 # Example smoke: quickstart exercises the whole stack (problem -> mapping ->
 # analog engine -> annealer -> cost ledger) in under a second.
@@ -275,6 +263,25 @@ printf 'maxcut - gen --nodes 48 --seed 9\n' | \
   > "${cache_dir}/stdin.csv" 2>/dev/null
 grep -q '^gen,' "${cache_dir}/stdin.csv" \
   || { echo "check.sh: stdin serve job with overrides failed" >&2; exit 1; }
+# A job whose file is malformed: both modes must print the same failed row,
+# built from the job's own --runs/--annealer, not the process defaults.
+echo "not a gset file" > "${cache_dir}/bad.gset"
+echo "maxcut bad.gset bad --runs 3 --annealer cim-fpga" \
+  > "${cache_dir}/bad.batch"
+for mode in batch serve; do
+  if ./build/tools/fecim_solve "--${mode}" "${cache_dir}/bad.batch" \
+    --iterations 300 --runs 2 --threads 2 --csv \
+    > "${cache_dir}/bad_${mode}.csv" 2>/dev/null; then
+    echo "check.sh: --${mode} with a malformed job should exit non-zero" >&2
+    exit 1
+  fi
+done
+grep -q '^bad,maxcut,cim-fpga,insitu,3,.*,failed$' \
+  "${cache_dir}/bad_batch.csv" \
+  || { echo "check.sh: failed row does not carry the job's flags" >&2
+       cat "${cache_dir}/bad_batch.csv" >&2; exit 1; }
+cmp "${cache_dir}/bad_batch.csv" "${cache_dir}/bad_serve.csv" \
+  || { echo "check.sh: --batch and --serve failed rows differ" >&2; exit 1; }
 echo "check.sh: serving smoke OK"
 
 # Solver-dynamics smoke (docs/algorithms.md): the SB backend end to end on
@@ -333,6 +340,22 @@ for family in maxcut coloring knapsack partition tsp qubo; do
     || { echo "check.sh: --init greedy failed for ${family}" >&2; exit 1; }
 done
 echo "check.sh: warm-start smoke OK"
+
+# Hot-path gate, last: its speedups are host-sensitive, so a failure here
+# must not hide the result of any smoke above.  Smoke configuration:
+# smallest size, few iterations; the JSON goes to the build tree (never the
+# tracked baseline) for the regression gate.  A failed determinism check or
+# JSON write makes bench_hotpath exit non-zero, which stops here; the old
+# JSON is removed first so the gate never reads a stale file.
+smoke_json="build/bench_smoke.json"
+rm -f "${smoke_json}"
+FECIM_BENCH_SMOKE=1 FECIM_BENCH_OUT="${smoke_json}" ./build/bench/bench_hotpath
+
+if command -v python3 >/dev/null 2>&1; then
+  python3 tools/bench_gate.py BENCH_hotpath.json "${smoke_json}"
+else
+  echo "check.sh: python3 not found; skipping bench regression gate" >&2
+fi
 
 if [[ "${full_bench}" == 1 ]]; then
   ./build/bench/bench_hotpath

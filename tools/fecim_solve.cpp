@@ -111,7 +111,9 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/annealer_factory.hpp"
@@ -256,9 +258,20 @@ std::size_t parse_size(const char* flag, const char* text) {
   return value;
 }
 
-bool is_known_annealer(const std::string& name) {
-  return name == "this-work" || name == "this-work-ideal" ||
-         name == "cim-fpga" || name == "cim-asic" || name == "mesa";
+/// The --annealer names and the in-situ kinds they select: one table for
+/// flag validation and for dispatch.
+constexpr std::pair<const char*, core::AnnealerKind> kAnnealerNames[] = {
+    {"this-work", core::AnnealerKind::kThisWork},
+    {"this-work-ideal", core::AnnealerKind::kThisWorkIdeal},
+    {"cim-fpga", core::AnnealerKind::kCimFpga},
+    {"cim-asic", core::AnnealerKind::kCimAsic},
+    {"mesa", core::AnnealerKind::kMesa},
+};
+
+std::optional<core::AnnealerKind> annealer_kind(const std::string& name) {
+  for (const auto& [known, kind] : kAnnealerNames)
+    if (name == known) return kind;
+  return std::nullopt;
 }
 
 /// The per-campaign flags shared by the command line, --batch manifests,
@@ -287,7 +300,7 @@ bool apply_value_flag(Options& options, const std::string& flag,
   };
   if (flag == "--annealer") {
     const char* text = next();
-    if (!is_known_annealer(text))
+    if (!annealer_kind(text))
       fail(flag, text, "this-work|this-work-ideal|cim-fpga|cim-asic|mesa");
     options.annealer = text;
   }
@@ -442,20 +455,16 @@ Options parse(int argc, char** argv) {
                  "--batch/--serve\n");
     std::exit(2);
   }
-  for (const auto run : options.inject_fail)
-    if (run >= options.runs) {
-      std::fprintf(stderr,
-                   "fecim_solve: --inject-fail index %zu out of range "
-                   "(runs = %zu)\n", run, options.runs);
-      std::exit(2);
-    }
-  for (const auto run : options.inject_hang)
-    if (run >= options.runs) {
-      std::fprintf(stderr,
-                   "fecim_solve: --inject-hang index %zu out of range "
-                   "(runs = %zu)\n", run, options.runs);
-      std::exit(2);
-    }
+  for (const auto& [flag, list] :
+       {std::pair{"--inject-fail", &options.inject_fail},
+        std::pair{"--inject-hang", &options.inject_hang}})
+    for (const auto run : *list)
+      if (run >= options.runs) {
+        std::fprintf(stderr,
+                     "fecim_solve: %s index %zu out of range (runs = %zu)\n",
+                     flag, run, options.runs);
+        std::exit(2);
+      }
   if (!options.inject_kill_worker.empty() && options.workers == 0) {
     std::fprintf(stderr,
                  "fecim_solve: --inject-kill-worker requires --workers\n");
@@ -475,16 +484,6 @@ bool is_known_family(const std::string& family) {
   return family == "maxcut" || family == "coloring" ||
          family == "knapsack" || family == "partition" || family == "tsp" ||
          family == "qubo";
-}
-
-core::AnnealerKind kind_from_name(const std::string& name) {
-  if (name == "this-work") return core::AnnealerKind::kThisWork;
-  if (name == "this-work-ideal") return core::AnnealerKind::kThisWorkIdeal;
-  if (name == "cim-fpga") return core::AnnealerKind::kCimFpga;
-  if (name == "cim-asic") return core::AnnealerKind::kCimAsic;
-  if (name == "mesa") return core::AnnealerKind::kMesa;
-  std::fprintf(stderr, "unknown annealer '%s'\n", name.c_str());
-  std::exit(2);
 }
 
 /// Build one family's instance, from `file` when given (any family) or the
@@ -634,13 +633,14 @@ SolveOutcome solve(const core::ProblemInstance& problem,
         std::make_shared<const ising::SpinVector>(problem.warm_start());
   }
 
-  // --algorithm selects the solver dynamics; --annealer picks the engine
-  // flavor within the in-situ family (SB always drives the analog array).
+  // --algorithm selects the solver dynamics; --annealer (validated where
+  // it was parsed) picks the engine flavor within the in-situ family (SB
+  // always drives the analog array).
   outcome.kind = options.algorithm == "sb-ballistic"
                      ? core::AnnealerKind::kSbBallistic
                  : options.algorithm == "sb-discrete"
                      ? core::AnnealerKind::kSbDiscrete
-                     : kind_from_name(options.annealer);
+                     : annealer_kind(options.annealer).value();
   const auto annealer =
       core::make_annealer(outcome.kind, problem.model, outcome.setup);
 
@@ -861,16 +861,63 @@ std::vector<Job> read_batch_manifest(const std::string& path,
       });
 }
 
-/// Isolation row for a job whose campaign could not run at all (malformed
-/// file, infeasible encode): every result column is NaN/0 and the status
-/// column says why the row carries no numbers.
-void print_csv_failed_row(const std::string& display,
-                          const std::string& family,
-                          const Options& options) {
-  std::printf("%s,%s,%s,%s,%zu,0,0,nan,nan,nan,0.000,0.000,0.000,nan,nan,"
-              "failed\n",
-              display.c_str(), family.c_str(), options.annealer.c_str(),
-              options.algorithm.c_str(), options.runs);
+/// Isolation for a job whose campaign could not run at all (malformed
+/// line or file, infeasible encode): a stderr diagnostic plus a failed row
+/// -- in `table`, or as CSV when `table` is null, where every result column
+/// is NaN/0 and the status column says why the row carries no numbers.
+void report_failed_job(const std::string& display, const std::string& family,
+                       const Options& options, const std::exception& error,
+                       util::Table* table) {
+  std::fprintf(stderr, "fecim_solve: %s [%s]: %s\n", display.c_str(),
+               family.c_str(), error.what());
+  std::fflush(stderr);
+  if (table == nullptr) {
+    std::printf("%s,%s,%s,%s,%zu,0,0,nan,nan,nan,0.000,0.000,0.000,nan,nan,"
+                "failed\n",
+                display.c_str(), family.c_str(), options.annealer.c_str(),
+                options.algorithm.c_str(), options.runs);
+    return;
+  }
+  table->row().add(display).add(family);
+  for (int column = 0; column < 7; ++column) table->add("-");
+  table->add("failed");
+}
+
+/// One --batch or --serve job end to end: build the instance, solve it
+/// against the shared array cache, and emit its row -- to `table`, or as
+/// CSV when `table` is null.  A failure is isolated to the job: a
+/// diagnostic plus a failed row built from the job's own options.  Returns
+/// whether the job succeeded.
+bool execute_job(const Job& job,
+                 const std::shared_ptr<crossbar::ArrayCache>& cache,
+                 util::Table* table) {
+  try {
+    const auto problem =
+        make_family_problem(job.family, job.path, job.name, job.options);
+    const auto outcome = solve(problem, job.options, cache);
+    if (table == nullptr) {
+      print_csv_row(problem, outcome, job.options);
+      return true;
+    }
+    table->row()
+        .add(problem.name)
+        .add(problem.family)
+        .add(problem.model->num_spins())
+        .add(outcome.result.best_objective(problem.sense), 4)
+        .add(safe_mean_objective(outcome.result), 4)
+        .add(problem.reference_objective, 4)
+        .add(outcome.result.feasible_rate * 100.0, 0)
+        .add(outcome.result.success_rate * 100.0, 0)
+        .add(outcome.result.time.mean(), 6)
+        .add("ok");
+    return true;
+  } catch (const std::exception& error) {
+    const std::string display = !job.name.empty()   ? job.name
+                                : !job.path.empty() ? job.path
+                                                    : "-";
+    report_failed_job(display, job.family, job.options, error, table);
+    return false;
+  }
 }
 
 /// Final cache report for the multi-job modes.  "N built" is the count of
@@ -896,52 +943,12 @@ int run_batch(const Options& options) {
   if (options.csv) print_csv_header();
   util::Table table({"instance", "family", "spins", "best", "mean",
                      "reference", "feas%", "succ%", "time/run", "status"});
+  // Batch isolation: one malformed instance is a failed row plus a stderr
+  // diagnostic, not a dead batch -- the remaining instances still run, and
+  // the final exit code reports the damage.
   std::size_t failed_jobs = 0;
-  for (const auto& job : jobs) {
-    try {
-      const auto problem =
-          make_family_problem(job.family, job.path, job.name, job.options);
-      const auto outcome = solve(problem, job.options, cache);
-      if (options.csv) {
-        print_csv_row(problem, outcome, job.options);
-        continue;
-      }
-      table.row()
-          .add(problem.name)
-          .add(problem.family)
-          .add(problem.model->num_spins())
-          .add(outcome.result.best_objective(problem.sense), 4)
-          .add(safe_mean_objective(outcome.result), 4)
-          .add(problem.reference_objective, 4)
-          .add(outcome.result.feasible_rate * 100.0, 0)
-          .add(outcome.result.success_rate * 100.0, 0)
-          .add(outcome.result.time.mean(), 6)
-          .add("ok");
-    } catch (const std::exception& error) {
-      // Batch isolation: one malformed instance is a failed row plus a
-      // stderr diagnostic, not a dead batch -- the remaining instances
-      // still run, and the final exit code reports the damage.
-      ++failed_jobs;
-      const std::string display = !job.name.empty() ? job.name : job.path;
-      std::fprintf(stderr, "fecim_solve: %s [%s]: %s\n", display.c_str(),
-                   job.family.c_str(), error.what());
-      if (options.csv) {
-        print_csv_failed_row(display, job.family, job.options);
-        continue;
-      }
-      table.row()
-          .add(display)
-          .add(job.family)
-          .add("-")
-          .add("-")
-          .add("-")
-          .add("-")
-          .add("-")
-          .add("-")
-          .add("-")
-          .add("failed");
-    }
-  }
+  for (const auto& job : jobs)
+    failed_jobs += !execute_job(job, cache, options.csv ? nullptr : &table);
   if (!options.csv) {
     std::printf("batch      : %zu instances from %s\n", jobs.size(),
                 options.batch.c_str());
@@ -987,30 +994,18 @@ int run_serve(const Options& options) {
   std::size_t failed_jobs = 0;
   while (parser.next()) {
     ++jobs;
-    // Best-effort identity for the failure row, refined once the line
-    // parses: a job that dies before parse_job_line returns still gets a
-    // stream row naming whatever the line did say.
-    std::string display(parser.field(0));
-    std::string family = "-";
-    if (parser.fields() >= 2) display = std::string(parser.field(1));
+    bool ok = false;
     try {
-      const Job job = parse_job_line(parser, options, base_dir);
-      family = job.family;
-      if (!job.name.empty())
-        display = job.name;
-      else if (!job.path.empty())
-        display = job.path;
-      const auto problem =
-          make_family_problem(job.family, job.path, job.name, job.options);
-      const auto outcome = solve(problem, job.options, cache);
-      print_csv_row(problem, outcome, job.options);
+      ok = execute_job(parse_job_line(parser, options, base_dir), cache,
+                       nullptr);
     } catch (const std::exception& error) {
-      ++failed_jobs;
-      std::fprintf(stderr, "fecim_solve: %s [%s]: %s\n", display.c_str(),
-                   family.c_str(), error.what());
-      std::fflush(stderr);
-      print_csv_failed_row(display, family, options);
+      // Only a line that did not parse lands here (execute_job isolates
+      // its own failures): the row names whatever the line did say and
+      // carries the process options.
+      const std::string display(parser.field(parser.fields() >= 2 ? 1 : 0));
+      report_failed_job(display, "-", options, error, nullptr);
     }
+    failed_jobs += !ok;
     std::fflush(stdout);
   }
   print_cache_stats(*cache);
