@@ -14,7 +14,6 @@
 #include "bench_common.hpp"
 #include "core/direct_annealer.hpp"
 #include "core/insitu_annealer.hpp"
-#include "core/mesa.hpp"
 
 using namespace fecim;
 
@@ -53,16 +52,16 @@ int main() {
     report("exponential (budget-normalized)",
            core::DirectEAnnealer(instance.model, exponential));
 
-    core::MesaConfig mesa;
-    mesa.base.iterations = group.iterations;
-    mesa.base.schedule_kind = core::ClassicSchedule::Kind::kGeometric;
-    report("MESA [7]", core::MesaAnnealer(instance.model, mesa));
+    core::DirectEConfig mesa = exponential;
+    mesa.epochs = 4;
+    report("MESA [7]", core::DirectEAnnealer(instance.model, mesa));
   }
   std::printf("%s", table.str().c_str());
   std::printf("\nnote: the literal V_BG direction (0.7 -> 0 V) makes the "
               "'E_inc <= rand' rule accept MORE uphill moves as it cools;\n"
               "the ramp-up direction realizes the intended linearized "
               "Metropolis behaviour and is this repo's default "
-              "(see DESIGN.md).\n");
+              "(see BgAnnealingSchedule::Direction in "
+              "src/core/schedule.hpp).\n");
   return 0;
 }

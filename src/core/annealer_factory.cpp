@@ -2,17 +2,9 @@
 
 #include "core/bifurcation_annealer.hpp"
 #include "core/direct_annealer.hpp"
-#include "core/mesa.hpp"
 #include "util/assert.hpp"
 
 namespace fecim::core {
-
-namespace {
-
-/// Per-iteration flips of the single-flip baselines (direct-E and MESA).
-constexpr std::size_t kBaselineFlips = 1;
-
-}  // namespace
 
 std::unique_ptr<Annealer> make_annealer(
     AnnealerKind kind, std::shared_ptr<const ising::IsingModel> model,
@@ -44,33 +36,26 @@ std::unique_ptr<Annealer> make_annealer(
                                                  std::move(config));
     }
     case AnnealerKind::kCimFpga:
-    case AnnealerKind::kCimAsic: {
+    case AnnealerKind::kCimAsic:
+    case AnnealerKind::kMesa: {
       DirectEConfig config;
       config.iterations = setup.iterations;
-      config.flips_per_iteration = kBaselineFlips;
+      config.flips_per_iteration = 1;  // single-flip baselines
       config.mapping = mapping;
       config.tiles = setup.tiles;
-      config.exp_unit = kind == AnnealerKind::kCimFpga ? cost::ExpUnit::kFpga
-                                                       : cost::ExpUnit::kAsic;
+      config.exp_unit = kind == AnnealerKind::kCimAsic ? cost::ExpUnit::kAsic
+                                                       : cost::ExpUnit::kFpga;
+      if (kind == AnnealerKind::kMesa) {
+        // MESA re-ladders the temperature per epoch on the budget-normalized
+        // schedule and charges the e^x unit only on uphill moves.
+        config.epochs = 4;
+        config.schedule_kind = ClassicSchedule::Kind::kGeometric;
+        config.pipelined_exp_unit = false;
+      }
       config.initial_spins = setup.initial_spins;
       config.trace = setup.trace;
       return std::make_unique<DirectEAnnealer>(std::move(model),
                                                std::move(config));
-    }
-    case AnnealerKind::kMesa: {
-      MesaConfig config;
-      config.base.iterations = setup.iterations;
-      config.base.flips_per_iteration = kBaselineFlips;
-      config.base.mapping = mapping;
-      config.base.tiles = setup.tiles;
-      config.base.exp_unit = cost::ExpUnit::kFpga;
-      // MESA re-ladders the temperature per epoch; use the budget-normalized
-      // schedule within each epoch.
-      config.base.schedule_kind = ClassicSchedule::Kind::kGeometric;
-      config.base.initial_spins = setup.initial_spins;
-      config.base.trace = setup.trace;
-      return std::make_unique<MesaAnnealer>(std::move(model),
-                                            std::move(config));
     }
     case AnnealerKind::kSbBallistic:
     case AnnealerKind::kSbDiscrete: {

@@ -1,7 +1,9 @@
-// Convenience factory assembling the three annealers the paper evaluates
-// (Sec. 4) from one shared setup: "this work" (DG FeFET in-situ, fractional
-// factor, no e^x unit) and the two direct-E baselines (FeFET CiM + FPGA or
-// ASIC exponential unit [7, 18]).
+// Convenience factory assembling every annealer kind from one shared setup:
+// the three the paper evaluates (Sec. 4) -- "this work" (DG FeFET in-situ,
+// fractional factor, no e^x unit) and the two direct-E baselines (FeFET CiM
+// + FPGA or ASIC exponential unit [7, 18]) -- plus the in-situ ablation with
+// exact arithmetic, the multi-epoch direct-E baseline MESA [7] and the two
+// simulated-bifurcation variants.
 #pragma once
 
 #include <memory>

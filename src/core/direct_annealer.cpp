@@ -13,6 +13,13 @@ namespace fecim::core {
 
 namespace {
 
+/// Final temperature of every ladder, as a fraction of its start.
+constexpr double kTEndFraction = 1e-3;
+/// Per-iteration factor of the kFixedDecay ladder [9, 10].
+constexpr double kDecayPerIteration = 0.999;
+/// Starting-temperature factor between consecutive MESA epochs.
+constexpr double kEpochReheat = 0.5;
+
 /// Mean |dE| of random moves from random states: the conventional SA
 /// starting-temperature scale (initial uphill acceptance ~ e^-1/3 with
 /// t_start = 3x this estimate).
@@ -47,11 +54,9 @@ DirectEAnnealer::DirectEAnnealer(std::shared_ptr<const ising::IsingModel> model,
   FECIM_EXPECTS(model_ != nullptr);
   FECIM_EXPECTS(config_.flips_per_iteration >= 1);
   FECIM_EXPECTS(config_.flips_per_iteration <= model_->num_flippable());
-  FECIM_EXPECTS(config_.t_end_fraction > 0.0 && config_.t_end_fraction <= 1.0);
-  t_start_ = config_.t_start > 0.0
-                 ? config_.t_start
-                 : 3.0 * estimate_move_scale(*model_,
-                                             config_.flips_per_iteration);
+  FECIM_EXPECTS(config_.iterations >= 1);
+  FECIM_EXPECTS(config_.epochs >= 1);
+  t_start_ = 3.0 * estimate_move_scale(*model_, config_.flips_per_iteration);
 }
 
 AnnealResult DirectEAnnealer::run(std::uint64_t seed,
@@ -63,12 +68,13 @@ AnnealResult DirectEAnnealer::run(std::uint64_t seed,
   // engine serves each evaluation from its local-field cache instead of
   // re-walking CSR rows.
   engine.enable_local_field_cache();
-  const ClassicSchedule schedule({t_start_, t_start_ * config_.t_end_fraction,
-                                  config_.iterations, config_.schedule_kind,
-                                  config_.decay_per_iteration});
 
+  // Multi-epoch runs record no trajectory: the MESA golden in
+  // tests/test_bifurcation.cpp pins zero points, and a restart's jump back
+  // to the incumbent has no encoding in the trace format.
   RunDriver driver(*model_, seed, token,
-                   {config_.iterations, config_.trace,
+                   {config_.iterations,
+                    config_.epochs == 1 ? config_.trace : TraceOptions{},
                     config_.initial_spins.get()});
   auto& rng = driver.rng;
   auto& spins = driver.spins;
@@ -76,37 +82,56 @@ AnnealResult DirectEAnnealer::run(std::uint64_t seed,
   const MetropolisAcceptance acceptance;
 
   // Reused proposal buffer: the loop below performs no heap allocations
-  // after this point (plus the engine's lazy first-call cache build).
+  // after this point (plus the engine's lazy per-epoch cache build).
   ising::FlipSet flips;
   flips.reserve(config_.flips_per_iteration);
 
-  for (std::size_t it = 0; it < config_.iterations; ++it) {
-    driver.poll(it);
-    const double temperature = schedule.temperature(it);
-    ising::random_flip_set_into(flips, model_->num_flippable(),
-                                config_.flips_per_iteration, rng);
+  // One counter across epochs drives the cancellation poll and the trace.
+  std::uint64_t global_it = 0;
+  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
+    // Early epochs absorb the division remainder so the exact budget runs.
+    const std::size_t per_epoch = config_.iterations / config_.epochs +
+                                  (epoch < config_.iterations % config_.epochs);
+    if (per_epoch == 0) continue;
+    // Restart from the incumbent best (a no-op for epoch 0).
+    spins = driver.result.best_spins;
+    driver.energy = driver.result.best_energy;
+    engine.invalidate_local_field_cache();
+    const double epoch_t_start =
+        t_start_ * std::pow(kEpochReheat, static_cast<double>(epoch));
+    const ClassicSchedule schedule({epoch_t_start,
+                                    epoch_t_start * kTEndFraction, per_epoch,
+                                    config_.schedule_kind,
+                                    kDecayPerIteration});
 
-    // The hardware computes E_new via the full-array VMV; dE follows
-    // digitally.  Numerically dE = 4 sigma_r^T J sigma_c (+ field terms).
-    const auto evaluation = engine.evaluate(spins, flips, {1.0, 0.0});
-    crossbar::merge_trace(driver.result.ledger, evaluation.trace);
-    ++driver.result.ledger.iterations;
-    double delta_e = 4.0 * evaluation.raw_vmv;
-    for (const auto i : flips)
-      delta_e += -2.0 * model_->fields()[i] * static_cast<double>(spins[i]);
+    for (std::size_t it = 0; it < per_epoch; ++it, ++global_it) {
+      driver.poll(global_it);
+      const double temperature = schedule.temperature(it);
+      ising::random_flip_set_into(flips, model_->num_flippable(),
+                                  config_.flips_per_iteration, rng);
 
-    const auto decision = acceptance.accept(delta_e, temperature, rng);
-    if (config_.pipelined_exp_unit || decision.exp_evaluated)
-      ++driver.result.ledger.exp_evaluations;
-    if (decision.accepted) {
-      driver.energy += delta_e;
-      ising::flip_in_place(spins, flips);
-      engine.on_flips_applied(spins, flips);
-      driver.count_accept(flips.size(), delta_e > 0.0);
-      driver.track_best();
+      // The hardware computes E_new via the full-array VMV; dE follows
+      // digitally.  Numerically dE = 4 sigma_r^T J sigma_c (+ field terms).
+      const auto evaluation = engine.evaluate(spins, flips, {1.0, 0.0});
+      crossbar::merge_trace(driver.result.ledger, evaluation.trace);
+      ++driver.result.ledger.iterations;
+      double delta_e = 4.0 * evaluation.raw_vmv;
+      for (const auto i : flips)
+        delta_e += -2.0 * model_->fields()[i] * static_cast<double>(spins[i]);
+
+      const auto decision = acceptance.accept(delta_e, temperature, rng);
+      if (config_.pipelined_exp_unit || decision.exp_evaluated)
+        ++driver.result.ledger.exp_evaluations;
+      if (decision.accepted) {
+        driver.energy += delta_e;
+        ising::flip_in_place(spins, flips);
+        engine.on_flips_applied(spins, flips);
+        driver.count_accept(flips.size(), delta_e > 0.0);
+        driver.track_best();
+      }
+
+      driver.record(global_it, temperature);
     }
-
-    driver.record(it, temperature);
   }
 
   return driver.finish();

@@ -1,11 +1,14 @@
-// Direct-E baseline annealers (CiM/FPGA and CiM/ASIC [7, 18]).
+// Direct-E baseline annealers (CiM/FPGA and CiM/ASIC [7, 18], MESA [7]).
 //
 // Classic simulated annealing: per iteration a random flip set is proposed,
 // the new energy is obtained through a full-array VMV multiplication
 // (O(n^2) product terms -- every column sensed), dE is formed digitally,
 // and uphill moves invoke the exponential unit for the Metropolis test.
 // The two baseline variants differ only in the e^x hardware (FPGA vs ASIC),
-// i.e. in cost translation, so one class covers both.
+// i.e. in cost translation, so one class covers both.  Multi-Epoch
+// Simulated Annealing (MESA) is the same loop with the budget split into
+// epochs: each epoch restarts from the best configuration found so far and
+// reheats to half the previous epoch's starting temperature.
 #pragma once
 
 #include <memory>
@@ -18,18 +21,15 @@
 namespace fecim::core {
 
 struct DirectEConfig {
-  std::size_t iterations = 1000;
+  std::size_t iterations = 1000;  ///< total budget across all epochs
   std::size_t flips_per_iteration = 1;
-  /// 0 = auto-calibrate from the move-energy scale of the instance.
-  double t_start = 0.0;
-  /// Final temperature as a fraction of t_start.
-  double t_end_fraction = 1e-3;
+  /// Reheated restarts from the incumbent best (MESA); 1 = plain direct-E.
+  std::size_t epochs = 1;
   /// Digital annealers apply a fixed per-iteration decay [9, 10]; short
   /// budgets then stop while still hot -- the paper's baselines fail the
   /// 800/1000-node groups for exactly this reason.  Use kGeometric for a
-  /// budget-normalized ladder instead.
+  /// budget-normalized ladder (per epoch) instead.
   ClassicSchedule::Kind schedule_kind = ClassicSchedule::Kind::kFixedDecay;
-  double decay_per_iteration = 0.999;
   crossbar::MappingConfig mapping{};
   /// Physical tile grid for the hardware event accounting (0 = monolithic);
   /// the baselines' arithmetic is exact either way.
@@ -41,6 +41,7 @@ struct DirectEConfig {
   bool pipelined_exp_unit = true;
   /// Warm start (core/run_driver.hpp); null = random initialization.
   std::shared_ptr<const ising::SpinVector> initial_spins;
+  /// Ignored when epochs > 1 (the restarts have no trajectory encoding).
   TraceOptions trace{};
 };
 
@@ -55,6 +56,7 @@ class DirectEAnnealer final : public Annealer {
 
   cost::ExpUnit exp_unit() const noexcept override { return config_.exp_unit; }
   std::string_view name() const noexcept override {
+    if (config_.epochs > 1) return "mesa";
     return config_.exp_unit == cost::ExpUnit::kFpga ? "cim-fpga" : "cim-asic";
   }
   const ising::IsingModel& model() const noexcept override { return *model_; }

@@ -8,7 +8,6 @@
 #include "core/annealer_factory.hpp"
 #include "core/direct_annealer.hpp"
 #include "core/insitu_annealer.hpp"
-#include "core/mesa.hpp"
 #include "problems/generators.hpp"
 #include "problems/maxcut.hpp"
 
@@ -173,20 +172,22 @@ TEST(DirectEAnnealer, AutoCalibratesStartTemperature) {
   const auto model = small_model(9, 50);
   const DirectEAnnealer annealer(model, DirectEConfig{});
   EXPECT_GT(annealer.calibrated_t_start(), 0.0);
-  DirectEConfig manual;
-  manual.t_start = 42.0;
-  const DirectEAnnealer fixed(model, manual);
-  EXPECT_DOUBLE_EQ(fixed.calibrated_t_start(), 42.0);
 }
 
-TEST(MesaAnnealer, ReachesOptimaAndRunsEpochs) {
+TEST(DirectEAnnealer, RejectsEmptyBudgets) {
+  const auto model = small_model(9, 20);
+  EXPECT_THROW(DirectEAnnealer(model, {.iterations = 0}), contract_error);
+  EXPECT_THROW(DirectEAnnealer(model, {.epochs = 0}), contract_error);
+}
+
+TEST(DirectEAnnealer, MultiEpochReachesOptimaAndRunsEpochs) {
   const auto model = small_model(10);
   const auto [spins, optimum] = model->brute_force_ground_state();
-  core::MesaConfig config;
+  DirectEConfig config;
   config.epochs = 4;
-  config.base.iterations = 4000;
-  config.base.schedule_kind = core::ClassicSchedule::Kind::kGeometric;
-  const core::MesaAnnealer annealer(model, config);
+  config.iterations = 4000;
+  config.schedule_kind = core::ClassicSchedule::Kind::kGeometric;
+  const DirectEAnnealer annealer(model, config);
   const auto result = annealer.run(5);
   EXPECT_NEAR(result.best_energy, optimum, 1e-9);
   EXPECT_EQ(result.ledger.iterations, 4000u);
@@ -195,14 +196,18 @@ TEST(MesaAnnealer, ReachesOptimaAndRunsEpochs) {
 TEST(Factory, BuildsAllKinds) {
   const auto model = small_model(11, 20);
   core::StandardSetup setup;
-  setup.iterations = 50;
-  for (const auto kind :
-       {AnnealerKind::kThisWork, AnnealerKind::kThisWorkIdeal,
-        AnnealerKind::kCimFpga, AnnealerKind::kCimAsic, AnnealerKind::kMesa}) {
-    const auto annealer = core::make_annealer(kind, model, setup);
-    ASSERT_NE(annealer, nullptr);
-    const auto result = annealer->run(1);
-    EXPECT_EQ(result.ledger.iterations, 50u);
+  // Budgets 1-5 straddle MESA's four epochs: none may overrun its budget.
+  for (const std::size_t budget : {1, 2, 3, 4, 5, 50}) {
+    setup.iterations = budget;
+    for (const auto kind :
+         {AnnealerKind::kThisWork, AnnealerKind::kThisWorkIdeal,
+          AnnealerKind::kCimFpga, AnnealerKind::kCimAsic,
+          AnnealerKind::kMesa}) {
+      const auto annealer = core::make_annealer(kind, model, setup);
+      ASSERT_NE(annealer, nullptr);
+      const auto result = annealer->run(1);
+      EXPECT_EQ(result.ledger.iterations, budget);
+    }
   }
 }
 
@@ -219,12 +224,16 @@ TEST(Factory, ExpUnitsWiredCorrectly) {
   EXPECT_EQ(core::make_annealer(AnnealerKind::kCimAsic, model, setup)
                 ->exp_unit(),
             cost::ExpUnit::kAsic);
+  EXPECT_EQ(core::make_annealer(AnnealerKind::kMesa, model, setup)
+                ->exp_unit(),
+            cost::ExpUnit::kFpga);
 }
 
 TEST(Factory, NamesAreStable) {
   EXPECT_STREQ(core::annealer_kind_name(AnnealerKind::kThisWork), "This Work");
   EXPECT_STREQ(core::annealer_kind_name(AnnealerKind::kCimFpga), "CiM/FPGA");
   EXPECT_STREQ(core::annealer_kind_name(AnnealerKind::kCimAsic), "CiM/ASIC");
+  EXPECT_STREQ(core::annealer_kind_name(AnnealerKind::kMesa), "MESA");
 }
 
 }  // namespace

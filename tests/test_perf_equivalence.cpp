@@ -16,12 +16,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 
 #include "core/acceptance.hpp"
+#include "core/annealer_factory.hpp"
 #include "core/direct_annealer.hpp"
 #include "core/insitu_annealer.hpp"
+#include "core/run_driver.hpp"
 #include "crossbar/analog_engine.hpp"
 #include "crossbar/ideal_engine.hpp"
 #include "crossbar/reference_kernels.hpp"
@@ -536,8 +539,8 @@ core::AnnealResult seed_direct_run(const core::DirectEAnnealer& annealer,
                                        crossbar::Accounting::kDirectFullArray);
   const double t_start = annealer.calibrated_t_start();
   const core::ClassicSchedule schedule(
-      {t_start, t_start * config.t_end_fraction, config.iterations,
-       config.schedule_kind, config.decay_per_iteration});
+      {t_start, t_start * 1e-3, config.iterations, config.schedule_kind,
+       0.999});
 
   core::AnnealResult result;
   auto spins = ising::random_spins(n, rng);
@@ -587,6 +590,115 @@ TEST(FullRunEquivalence, DirectEMatchesSeedLoop) {
     const auto reference =
         seed_direct_run(annealer, config, *instance.model, seed);
     expect_run_equal(optimized, reference);
+  }
+}
+
+/// The seed MESA annealer's configuration at the factory's values.
+struct SeedMesaConfig {
+  std::size_t epochs = 4;
+  double epoch_temperature_decay = 0.5;
+  core::DirectEConfig base{};
+};
+
+/// The seed MESA loop, verbatim but for its t_end fraction (1e-3): a
+/// cache-less engine, freshly-allocated flip sets and the e^x unit charged
+/// on uphill moves only.
+core::AnnealResult seed_mesa_run(const ising::IsingModel* model_,
+                                 const crossbar::CrossbarMapping& mapping_,
+                                 const SeedMesaConfig& config_,
+                                 double t_start_, std::uint64_t seed,
+                                 const core::CancellationToken& token) {
+  using namespace core;
+  const std::size_t base_per_epoch =
+      std::max<std::size_t>(1, config_.base.iterations / config_.epochs);
+  const std::size_t remainder =
+      config_.base.iterations > base_per_epoch * config_.epochs
+          ? config_.base.iterations - base_per_epoch * config_.epochs
+          : 0;
+
+  crossbar::IdealCrossbarEngine engine(*model_, mapping_,
+                                       crossbar::Accounting::kDirectFullArray,
+                                       config_.base.tiles);
+  const MetropolisAcceptance acceptance;
+
+  // MESA records no trajectory (the epoch restarts would need their own
+  // encoding), so the driver gets a disabled trace regardless of config.
+  RunDriver driver(*model_, seed, token,
+                   {0, TraceOptions{}, config_.base.initial_spins.get()});
+  auto& rng = driver.rng;
+  auto& spins = driver.spins;
+
+  // `global_it` strides across epoch boundaries so the cancellation poll
+  // cadence matches the single-schedule annealers.
+  std::uint64_t global_it = 0;
+
+  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
+    // Each epoch restarts from the incumbent best with a reheated (but
+    // decaying) temperature ladder.
+    spins = driver.result.best_spins;
+    driver.energy = driver.result.best_energy;
+    // Early epochs absorb the division remainder so the exact budget runs.
+    const std::size_t per_epoch = base_per_epoch + (epoch < remainder ? 1 : 0);
+    const double epoch_t_start =
+        t_start_ * std::pow(config_.epoch_temperature_decay,
+                            static_cast<double>(epoch));
+    const ClassicSchedule schedule(
+        {epoch_t_start, epoch_t_start * 1e-3, per_epoch,
+         config_.base.schedule_kind});
+
+    for (std::size_t it = 0; it < per_epoch; ++it, ++global_it) {
+      driver.poll(global_it);
+      const double temperature = schedule.temperature(it);
+      const auto flips = ising::random_flip_set(
+          model_->num_flippable(), config_.base.flips_per_iteration, rng);
+      const auto evaluation = engine.evaluate(spins, flips, {1.0, 0.0});
+      crossbar::merge_trace(driver.result.ledger, evaluation.trace);
+      ++driver.result.ledger.iterations;
+      double delta_e = 4.0 * evaluation.raw_vmv;
+      for (const auto i : flips)
+        delta_e += -2.0 * model_->fields()[i] * static_cast<double>(spins[i]);
+
+      const auto decision = acceptance.accept(delta_e, temperature, rng);
+      if (decision.exp_evaluated) ++driver.result.ledger.exp_evaluations;
+      if (decision.accepted) {
+        driver.energy += delta_e;
+        ising::flip_in_place(spins, flips);
+        driver.count_accept(flips.size(), delta_e > 0.0);
+        driver.track_best();
+      }
+    }
+  }
+
+  return driver.finish();
+}
+
+TEST(FullRunEquivalence, MesaMatchesSeedLoop) {
+  // Unit weights keep the cached local-field sums exact, so the folded
+  // multi-epoch direct-E loop must reproduce the seed MESA bit for bit.
+  const auto instance = unit_instance(48, 80);
+  const auto& model = *instance.model;
+  const crossbar::QuantizedCouplings quantized(model.couplings(), 8);
+  const crossbar::CrossbarMapping mapping(
+      model.num_spins(), quantized.has_negative() ? 2 : 1,
+      crossbar::MappingConfig{});
+  for (const std::size_t iterations : {std::size_t{400}, std::size_t{401}}) {
+    core::StandardSetup setup;
+    setup.iterations = iterations;
+    const auto annealer =
+        core::make_annealer(core::AnnealerKind::kMesa, instance.model, setup);
+    const double t_start =
+        dynamic_cast<const core::DirectEAnnealer&>(*annealer)
+            .calibrated_t_start();
+    SeedMesaConfig seed_config;
+    seed_config.base.iterations = iterations;
+    seed_config.base.schedule_kind = core::ClassicSchedule::Kind::kGeometric;
+    for (const std::uint64_t seed : {4ULL, 12ULL, 13572468ULL}) {
+      const auto optimized = annealer->run(seed);
+      const auto reference =
+          seed_mesa_run(&model, mapping, seed_config, t_start, seed,
+                        core::CancellationToken::none());
+      expect_run_equal(optimized, reference);
+    }
   }
 }
 
@@ -687,6 +799,17 @@ TEST(ZeroAllocationLoop, DirectE) {
     config.iterations = iterations;
     config.flips_per_iteration = 2;
     return std::make_unique<core::DirectEAnnealer>(instance.model, config);
+  });
+}
+
+TEST(ZeroAllocationLoop, DirectEMultiEpoch) {
+  // The factory's MESA: four epochs, each restarting from the incumbent.
+  const auto instance = unit_instance(64, 94);
+  expect_iteration_free_allocations([&](std::size_t iterations) {
+    core::StandardSetup setup;
+    setup.iterations = iterations;
+    return core::make_annealer(core::AnnealerKind::kMesa, instance.model,
+                               setup);
   });
 }
 

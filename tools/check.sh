@@ -10,8 +10,9 @@
 #      (maxcut, coloring, knapsack, partition, tsp, qubo), both generated
 #      and file-backed (examples/data/ fixtures, one per file format,
 #      loaded through the mmap ingestion path) plus one --batch manifest
-#      campaign, so the README's build-and-run instructions, the unified
-#      solver pipeline, and the ingestion subsystem stay honest; a Gset file
+#      campaign and every --annealer name, so the README's build-and-run
+#      instructions, the unified solver pipeline, and the ingestion
+#      subsystem stay honest; a Gset file
 #      whose parallel edges overflow, and a QUBO file whose duplicate
 #      triplets overflow, must each exit non-zero naming <file>:<line>,
 #   5. smoke the serving path (docs/serving.md): a duplicate-entry manifest
@@ -142,6 +143,17 @@ for family in maxcut coloring knapsack partition tsp qubo; do
     --csv >/dev/null
 done
 echo "check.sh: fecim_solve family smoke OK"
+
+# Annealer smoke: every --annealer name end to end, plus a MESA budget
+# smaller than its epoch count; the CSV annealer column must carry the name.
+for args in this-work this-work-ideal cim-fpga cim-asic mesa \
+  "mesa --iterations 3"; do
+  read -ra argv <<< "${args}"
+  ./build/tools/fecim_solve --annealer "${argv[@]}" --nodes 48 --runs 2 \
+    --threads 2 --csv | grep -q "^generated-48,maxcut,${argv[0]}," \
+    || { echo "check.sh: --annealer ${args} smoke failed" >&2; exit 1; }
+done
+echo "check.sh: annealer smoke OK"
 
 # Tiled-execution smoke: one campaign over a 4-band tile grid exercises the
 # TilePlan path end to end (per-tile conversions, partial-sum accumulation,
